@@ -10,7 +10,7 @@ The pipeline (paper Fig 5):
 3. :mod:`repro.core.power_vector` — eq. (1) Pearson correlation of power
    vectors and eq. (3) relative change.
 4. :mod:`repro.core.correlation` — eq. (2) trajectory correlation
-   coefficient, including the batched all-window-positions form.
+   coefficient, including the fused all-window-positions sweep.
 5. :mod:`repro.core.syn` — the double-sliding cross-correlation check
    that finds SYN points (§IV-D), with the flexible-window variant
    (§V-C) and multi-SYN extraction (§VI-C).

@@ -432,7 +432,10 @@ class DriveBindingIndex:
         """
         self._prepare_extendable()
         assert self._states is not None
-        if chunk.plan.n_channels != self._n_channels:
+        plan = self.scan.plan
+        if chunk.plan is not plan and not np.array_equal(
+            chunk.plan.arfcns, plan.arfcns
+        ):
             raise ValueError("chunk channel plan does not match the index")
         old_track = self.track
         m = len(old_track.times_s)

@@ -59,14 +59,16 @@ class RupsConfig:
     max_heading_disagreement_rad:
         Heading-agreement gate for the check above.
     kernel:
-        Sliding-search kernel: ``"batched"`` (default — every window
-        position scored by one matmul over per-trajectory normalised
-        window features, memoised on :class:`GsmTrajectory`) or
-        ``"reference"`` (the per-window loop the batched kernel is
-        differentially tested against; see
-        :mod:`repro.core.correlation`).  Both produce identical SYN
-        decisions; the reference exists as ground truth and for
-        debugging, not for production use.
+        Sliding-search kernel of the SYN sweep (see
+        :mod:`repro.core.correlation`).  ``"fused"`` (default, the
+        production kernel) scores every window position from
+        prefix-sum sliding statistics and one grouped matmul, never
+        materialising a per-window feature tensor.  ``"batched"`` (one
+        matmul over normalised window features memoised on
+        :class:`GsmTrajectory`) and ``"reference"`` (the per-window
+        loop) stay selectable as test oracles: all three produce
+        identical SYN decisions, and the differential suites hold the
+        fused kernel to both.
     """
 
     context_length_m: float = 1000.0
@@ -82,7 +84,7 @@ class RupsConfig:
     min_coherency_threshold: float = 0.9
     heading_check: bool = False
     max_heading_disagreement_rad: float = 0.35
-    kernel: str = "batched"
+    kernel: str = "fused"
 
     def __post_init__(self) -> None:
         if self.context_length_m <= 0:

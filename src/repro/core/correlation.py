@@ -10,16 +10,29 @@ is the vector of per-channel averages.  The first term rewards matching
 across channels; the paper motivates keeping both (§III-C).  The value
 range is [-2, 2], hence a coherency threshold of 1.2.
 
-Two interchangeable sliding kernels evaluate eq. (2) for a fixed query
+Three interchangeable sliding kernels evaluate eq. (2) for a fixed query
 segment against every window position of a longer trajectory — the hot
-path of the SYN search (§V-A, O(m * w * k)):
+path of the SYN search (§V-A, O(m * w * k)).  ``fused`` is the one
+production kernel: every SYN search (cold queries, fleet ticks,
+tracking updates, the anchored streaming rung) runs through it.  The
+other two are kept as oracles — selectable through
+``RupsConfig(kernel=...)`` so the differential suites
+(``tests/test_kernel_equivalence.py``) can hold the fused kernel to
+them.
 
-``reference``
-    A per-window Python loop calling :func:`trajectory_correlation` at
-    every position.  Slow, but each window is evaluated exactly as the
-    plain function defines it — the ground truth the differential test
-    harness (``tests/test_kernel_equivalence.py``) checks the fast
-    kernel against.
+``fused``
+    The sweep without ever materialising a per-window feature tensor
+    (tens of MB per trajectory at paper-sized contexts).  Window means
+    and variances come from per-channel prefix sums in O(n * m), the
+    cross terms from one grouped matmul of the centred query rows
+    against a strided window view, and only the ``(n_pos, n)`` sliding
+    statistics (see :class:`SlidingWindowStats`) are kept per
+    trajectory.  Prefix-sum variances are ill-conditioned exactly where
+    eq. (2) gates windows (near-zero variance), so any window whose
+    prefix-sum variance falls below a conservative guard is *recomputed
+    exactly* from its raw values — degenerate windows therefore gate
+    bit-for-bit like the other kernels.  A target dominated by such
+    windows falls back to the ``batched`` computation.
 
 ``batched``
     The whole search as one matrix product.  Every candidate window of a
@@ -30,31 +43,21 @@ path of the SYN search (§V-A, O(m * w * k)):
     ``F1[i] @ F2[j]``, so a full sweep — or the full correlation matrix
     between *all* window pairs — is a single BLAS matmul.
     :meth:`repro.core.trajectory.GsmTrajectory.window_features` memoises
-    ``F`` per trajectory, so the double-sliding multi-SYN search and
-    locked tracking updates reuse it instead of recomputing.
+    ``F`` per trajectory, which makes repeated sweeps over one object
+    cheap and every cold one expensive.
 
-``fused``
-    The sweep without ever materialising the ``(n_positions, n*w + n)``
-    feature tensor (tens of MB per trajectory per query at paper-sized
-    contexts — the dominant cost of the campaign runtime when every
-    query binds a *fresh* trajectory and the memo never hits).  Window
-    means and variances come from per-channel prefix sums in O(n * m),
-    the cross terms from one grouped matmul of the centred query rows
-    against a strided window view, and only the ``(n_pos, n)`` sliding
-    statistics (see :class:`SlidingWindowStats`) are kept per
-    trajectory.  Prefix-sum variances are ill-conditioned exactly where
-    eq. (2) gates windows (near-zero variance), so any window whose
-    prefix-sum variance falls below a conservative guard is *recomputed
-    exactly* from its raw values — degenerate windows therefore gate
-    bit-for-bit like the other kernels, and the differential harness
-    holds all three to the same 1e-9.
+``reference``
+    A per-window Python loop calling :func:`trajectory_correlation` at
+    every position.  Slow, but each window is evaluated exactly as the
+    plain function defines it — the ground truth of the harness.
 
 Degenerate windows are defined everywhere: a channel whose window has
 (near-)zero variance — or contains NaN from un-interpolated scan gaps —
 contributes exactly 0 to the channel average, and a degenerate
-cross-channel mean profile zeroes the second term.  Both kernels apply
-the same per-side rule, so they agree bit-for-bit up to floating-point
-association error (< 1e-12 in practice; the harness asserts 1e-9).
+cross-channel mean profile zeroes the second term.  All kernels apply
+the same per-side rule, so they agree up to floating-point association
+error (< 1e-12 in practice; the harness asserts 1e-9), and the SYN
+search re-scores every sweep winner exactly.
 """
 
 from __future__ import annotations
@@ -315,7 +318,7 @@ def batched_sliding_correlation(
 _SUSPECT_RTOL = 1e-7
 #: When more than this fraction of windows is suspect (e.g. wholly
 #: constant trajectories), per-window exact recomputation would cost more
-#: than the batched feature path — the caller falls back to it instead.
+#: than the batched feature path — the sweep falls back to it instead.
 _SUSPECT_FRACTION_LIMIT = 0.25
 
 
@@ -613,7 +616,7 @@ def fused_sliding_correlation(
     return fused_sweep(q, np.array([0], dtype=np.intp), stats)[0]
 
 
-DEFAULT_KERNEL = "batched"
+DEFAULT_KERNEL = "fused"
 
 KERNELS = {
     "reference": reference_sliding_correlation,
@@ -644,7 +647,8 @@ def sliding_trajectory_correlation(
     target:
         ``(n_channels, m)`` trajectory to slide over, ``m >= w``.
     kernel:
-        ``"batched"`` (default) or ``"reference"`` — see :data:`KERNELS`.
+        ``"fused"`` (default), ``"batched"`` or ``"reference"`` — see
+        :data:`KERNELS`.
 
     Returns
     -------

@@ -24,10 +24,9 @@ from repro.core.syn import (
     SynPoint,
     _effective_window,
     _query_scope,
-    find_syn_points_anchored,
     find_syn_points_batch,
 )
-from repro.core.trajectory import GsmTrajectory, seed_window_features
+from repro.core.trajectory import GsmTrajectory
 from repro.gsm.scanner import ScanStream
 from repro.obs.events import emit
 from repro.obs.metrics import inc
@@ -124,8 +123,9 @@ class RupsEngine:
     reduction_cache_size:
         LRU bound on cached channel reductions.  A convoy vehicle
         alternates queries across its neighbours (A<->B, A<->C, ...), so
-        one slot per live pair keeps every tracking session's memoised
-        window features warm; ``0`` disables.
+        one slot per live pair keeps every tracking session's reduced
+        pair (and the sliding statistics memoised on it) warm; ``0``
+        disables.
 
     The trajectory and binding-index caches key on object identity of
     immutable inputs and hold strong references to the keyed objects, so
@@ -159,18 +159,11 @@ class RupsEngine:
         self._binding_indices: OrderedDict[tuple, tuple] = OrderedDict()
         # (own.content_token, other.content_token) -> (own_r, other_r).
         # Tracking sessions query the same pairs repeatedly (§V-B);
-        # reusing the reduced trajectories keeps their memoised window
-        # features warm across updates instead of rebuilding them every
-        # period — and the content key lets bit-identical rebuilds from
-        # other processes or later campaign runs hit too.
+        # reusing the reduced trajectories keeps their memoised sliding
+        # statistics warm across updates — and the content key lets
+        # bit-identical rebuilds from other processes or later campaign
+        # runs hit too.
         self._reductions: OrderedDict[tuple, tuple] = OrderedDict()
-        # chosen-channel-set -> the last reduced pair with that set.  A
-        # streaming session's own context changes every period, so the
-        # token-keyed reduction cache misses every update; the seed chain
-        # lets the freshly reduced pair inherit the previous pair's
-        # window-feature memos (bitwise-safe, see seed_window_features),
-        # turning the per-update feature rebuild into a suffix patch.
-        self._reduction_seeds: OrderedDict[bytes, tuple] = OrderedDict()
         # Materialise the cache counters so every metrics snapshot that
         # saw an engine carries the full hit/miss key set, hits or not.
         for cache in ("trajectory", "binding_index", "reduction"):
@@ -272,11 +265,10 @@ class RupsEngine:
         agree on the subset.
 
         ``use_cache=False`` skips the token-keyed reduction LRU — probe
-        and store.  The streaming anchored path passes it: both contexts
+        and store.  The streaming anchored rung passes it: both contexts
         change on every tick, so the probe can never hit, and computing
         the two content tokens just to build its key costs more than the
-        whole reduction (the seeded-feature chain below does not need
-        them).
+        whole reduction.
         """
         if use_cache:
             key = (own.content_token, other.content_token)
@@ -331,15 +323,6 @@ class RupsEngine:
         chosen = common[top]
         own_r = own_c.select_channels(chosen)
         other_r = other_c.select_channels(chosen)
-        seed_key = chosen.tobytes()
-        seed = self._reduction_seeds.get(seed_key)
-        if seed is not None:
-            own_r = seed_window_features(seed[0], own_r)
-            other_r = seed_window_features(seed[1], other_r)
-        self._reduction_seeds[seed_key] = (own_r, other_r)
-        self._reduction_seeds.move_to_end(seed_key)
-        while len(self._reduction_seeds) > max(self._reduction_cache_size, 1):
-            self._reduction_seeds.popitem(last=False)
         if use_cache and self._reduction_cache_size > 0:
             self._reductions[key] = (own_r, other_r)
             while len(self._reductions) > self._reduction_cache_size:
@@ -376,16 +359,26 @@ class RupsEngine:
         n_syn_points: int | None = None,
         aggregation: str | None = None,
         query_ids: list[str | None] | None = None,
+        anchors: list[SynPoint | None] | None = None,
+        guard_m: float = 50.0,
     ) -> list[RupsEstimate]:
         """:meth:`estimate_relative_distance` for many pairs at once.
 
         Channel reduction and the final resolve/attribute stage run per
         pair, but every pair's SYN sweeps feed one cross-pair batched
         kernel (:func:`~repro.core.syn.find_syn_points_batch`) — the
-        campaign's query chunks and all-pairs convoy scans go through
-        here.  Per pair the estimate, counters, and provenance events
-        are exactly those of the scalar method; ``query_ids`` optionally
-        tags each pair's events.
+        campaign's query chunks, all-pairs convoy scans, fleet ticks and
+        tracking updates all go through here.  Per pair the estimate,
+        counters, and provenance events are exactly those of the scalar
+        method; ``query_ids`` optionally tags each pair's events.
+
+        ``anchors`` (optional, one per pair) runs a pair's search as the
+        streaming rung: sweeps anchored on a prior lock, ``guard_m``
+        back (see :func:`~repro.core.syn.find_syn_points_batch`), and no
+        reduction-LRU probe.  An unresolved anchored estimate is *not*
+        proof the vehicles diverged: the caller must retry the full
+        search before dropping a lock (the tracker's fallback ladder
+        does).
         """
         agg = self.config.aggregation if aggregation is None else aggregation
         ids: list[str | None] = (
@@ -393,12 +386,22 @@ class RupsEngine:
         )
         if len(ids) != len(pairs):
             raise ValueError("query_ids must match pairs in length")
+        pair_anchors = [None] * len(pairs) if anchors is None else list(anchors)
+        if len(pair_anchors) != len(pairs):
+            raise ValueError("anchors must match pairs in length")
         reduced: list[tuple[GsmTrajectory, GsmTrajectory]] = []
-        for (own, other), query_id in zip(pairs, ids):
+        for (own, other), query_id, anchor in zip(pairs, ids, pair_anchors):
             with _query_scope(query_id), trace("engine.reduce"):
-                reduced.append(self._reduce_channels(own, other))
+                reduced.append(
+                    self._reduce_channels(own, other, use_cache=anchor is None)
+                )
         syn_lists = find_syn_points_batch(
-            reduced, self.config, n_points=n_syn_points, query_ids=ids
+            reduced,
+            self.config,
+            n_points=n_syn_points,
+            query_ids=ids,
+            anchors=pair_anchors,
+            guard_m=guard_m,
         )
         estimates = []
         for (own_r, other_r), syn_points, query_id in zip(
@@ -420,31 +423,18 @@ class RupsEngine:
         aggregation: str | None = None,
         query_id: str | None = None,
     ) -> RupsEstimate:
-        """Streaming fast path: SYN sweeps anchored by the last lock.
-
-        Identical to :meth:`estimate_relative_distance` except the
-        double-sided search only scans each trajectory's suffix at or
-        after ``anchor``'s odometer readings (minus ``guard_m``) — see
-        :func:`~repro.core.syn.find_syn_points_anchored`.  An unresolved
-        result here is *not* proof the vehicles diverged: the caller
-        must retry with the full search before dropping a lock (the
-        tracker's fallback ladder does).
-        """
-        agg = self.config.aggregation if aggregation is None else aggregation
-        with _query_scope(query_id):
-            with trace("engine.reduce"):
-                own_r, other_r = self._reduce_channels(
-                    own, other, use_cache=False
-                )
-            syn_points = find_syn_points_anchored(
-                own_r,
-                other_r,
-                anchor,
-                self.config,
-                n_points=n_syn_points,
-                guard_m=guard_m,
-            )
-            return self._finish_estimate(own_r, other_r, syn_points, agg)
+        """Streaming fast path: :meth:`estimate_relative_distance` with
+        both sweeps anchored by the last lock — a batch of one with
+        ``anchor`` (see :meth:`estimate_relative_distance_batch`)."""
+        (estimate,) = self.estimate_relative_distance_batch(
+            [(own, other)],
+            n_syn_points=n_syn_points,
+            aggregation=aggregation,
+            query_ids=[query_id],
+            anchors=[anchor],
+            guard_m=guard_m,
+        )
+        return estimate
 
     def _finish_estimate(
         self,

@@ -9,8 +9,10 @@ the double-sliding check process is treated as the optimal estimation of
 a SYN point."
 
 Complexity is the paper's O(m * w * k) per window sweep (m context
-length, w window length, k channels) — realised here as one batched
-numpy evaluation per sweep (see :mod:`repro.core.correlation`).
+length, w window length, k channels).  Every search — one pair or a
+campaign chunk, full or anchored on a prior lock — runs through one
+sweep, :func:`_match_windows_many`, on the fused kernel of
+:mod:`repro.core.correlation`.
 
 Extensions implemented alongside the baseline search:
 
@@ -26,17 +28,16 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
 from repro.core.config import RupsConfig
 from repro.core.correlation import (
     _SUSPECT_FRACTION_LIMIT,
+    SlidingWindowStats,
     correlation_matrix,
-    fused_sweep,
     fused_sweep_many,
-    get_kernel,
+    reference_sliding_correlation,
     trajectory_correlation_rows,
 )
 from repro.core.trajectory import GsmTrajectory
@@ -223,305 +224,113 @@ def _rescore_winners(
         results[i] = (float(exact[j]), int(best[j]) + window_marks - 1)
 
 
-def _match_windows(
-    query: GsmTrajectory,
-    query_end_marks: list[int],
-    target: GsmTrajectory,
-    window_marks: int,
-    kernel: str,
-) -> list[tuple[float, int] | None]:
-    """Best eq.-2 score of each query window slid over a whole target.
-
-    One entry per query end mark: ``(score, target_end_mark)``, or
-    ``None`` when that query window does not fit (the target being
-    shorter than one window voids every entry).
-
-    With ``kernel="batched"`` all query windows are scored against all
-    target positions by a single matmul over the two trajectories'
-    memoised feature matrices — the per-query argmax reads one row of
-    that correlation matrix and the winner is re-scored exactly (see
-    :func:`_rescore_winners`).  With ``kernel="fused"`` the same scores
-    come from the target's memoised sliding statistics and one grouped
-    matmul, never materialising the feature tensor (falling back to the
-    batched path for degenerate-dominated targets).  With
-    ``kernel="reference"`` each window is slid by the per-position loop.
-    """
-    results: list[tuple[float, int] | None] = [None] * len(query_end_marks)
-    if target.n_marks < window_marks:
-        return results
-    valid = [
-        i for i, end in enumerate(query_end_marks)
-        if end - window_marks + 1 >= 0 and end < query.n_marks
-    ]
-    if not valid:
-        return results
-    if kernel == "fused":
-        stats = target.sliding_stats(window_marks)
-        if stats.suspect_fraction > _SUSPECT_FRACTION_LIMIT:
-            kernel = "batched"
-        else:
-            starts = np.array(
-                [query_end_marks[i] - window_marks + 1 for i in valid],
-                dtype=np.intp,
-            )
-            scores = fused_sweep(query.power_dbm, starts, stats)
-            best = np.argmax(scores, axis=1)
-            _rescore_winners(
-                query, query_end_marks, target, window_marks, valid, best, results
-            )
-            return results
-    if kernel == "batched":
-        rows = np.array(
-            [query_end_marks[i] - window_marks + 1 for i in valid], dtype=np.intp
-        )
-        scores = correlation_matrix(
-            query.window_features(window_marks)[rows],
-            target.window_features(window_marks),
-        )
-        best = np.argmax(scores, axis=1)
-        _rescore_winners(
-            query, query_end_marks, target, window_marks, valid, best, results
-        )
-    else:
-        sliding = get_kernel(kernel)
-        for i in valid:
-            end = query_end_marks[i]
-            q = query.power_dbm[:, end - window_marks + 1 : end + 1]
-            scores = sliding(q, target.power_dbm)
-            best = int(np.argmax(scores))
-            results[i] = (float(scores[best]), best + window_marks - 1)
-    return results
-
-
 def _match_windows_many(
-    requests: list[tuple[GsmTrajectory, list[int], GsmTrajectory, int]],
+    requests: list[tuple[GsmTrajectory, list[int], GsmTrajectory, int, int]],
     kernel: str,
 ) -> list[list[tuple[float, int] | None]]:
-    """:func:`_match_windows` for many ``(query, ends, target, window)``
-    requests, batched across requests — the cross-pair SYN kernel.
+    """Best eq.-2 score of each query window slid over its target — the
+    one SYN sweep every search runs through.
 
-    Per request the returned entries are exactly what
-    :func:`_match_windows` returns for it alone.  With
-    ``kernel="batched"`` requests sharing a target and window size are
-    stacked into one correlation-matrix product; with ``kernel="fused"``
-    every non-degenerate request feeds one grouped GEMM via
-    :func:`~repro.core.correlation.fused_sweep_many` and the winners are
-    re-scored exactly (degenerate-dominated targets fall back to the
-    batched path, as in the per-pair kernel).  Other kernels loop.
+    Each request is ``(query, query_end_marks, target, window_marks,
+    min_target_pos)``.  Per request the result holds one entry per query
+    end mark: ``(score, target_end_mark)``, or ``None`` when that query
+    window does not fit (a target shorter than one window voids every
+    entry).  Only target window start positions ``>= min_target_pos``
+    are scanned, clamped into range so at least one position always is:
+    ``0`` sweeps the whole target, a positive floor is the streaming
+    rung's anchored suffix (see :func:`find_syn_points_batch`).  Winners
+    carry absolute positions and are re-scored exactly (see
+    :func:`_rescore_winners`), so a suffix that contains the full
+    sweep's winner returns the same match.
+
+    ``kernel="fused"`` (production) feeds every request to one
+    :func:`~repro.core.correlation.fused_sweep_many` call over the
+    target's sliding statistics — memoised on the target for a full
+    sweep, built from the suffix alone (O(n * suffix)) for an anchored
+    one — and never materialises the feature tensor.  Targets dominated
+    by degenerate windows fall back to the ``batched`` path, which
+    stacks requests sharing a target, window and floor into one
+    correlation-matrix product over memoised window features.
+    ``kernel="reference"`` slides each window with the per-position
+    loop.
     """
     results: list[list[tuple[float, int] | None]] = [
-        [None] * len(ends) for (_, ends, _, _) in requests
+        [None] * len(ends) for (_, ends, _, _, _) in requests
     ]
-    plans: list[tuple[int, list[int]]] = []
-    for idx, (query, ends, target, window_marks) in enumerate(requests):
-        if target.n_marks < window_marks:
+    plans: list[tuple[int, list[int], np.ndarray, int]] = []
+    for idx, (query, ends, target, w, min_pos) in enumerate(requests):
+        if target.n_marks < w:
             continue
         valid = [
-            i for i, end in enumerate(ends)
-            if end - window_marks + 1 >= 0 and end < query.n_marks
+            i for i, end in enumerate(ends) if end - w + 1 >= 0 and end < query.n_marks
         ]
         if valid:
-            plans.append((idx, valid))
-    if not plans:
-        return results
-    if kernel not in ("batched", "fused"):
-        for idx, _ in plans:
-            query, ends, target, window_marks = requests[idx]
-            results[idx] = _match_windows(query, ends, target, window_marks, kernel)
+            starts = np.array([ends[i] - w + 1 for i in valid], dtype=np.intp)
+            p0 = min(max(int(min_pos), 0), target.n_marks - w)
+            plans.append((idx, valid, starts, p0))
+
+    def finish(idx: int, valid: list[int], best: np.ndarray) -> None:
+        query, ends, target, w, _ = requests[idx]
+        _rescore_winners(query, ends, target, w, valid, best, results[idx])
+
+    if kernel == "reference":
+        for idx, valid, starts, p0 in plans:
+            query, _, target, w, _ = requests[idx]
+            for i, start in zip(valid, starts):
+                scores = reference_sliding_correlation(
+                    query.power_dbm[:, start : start + w],
+                    target.power_dbm[:, p0:],
+                )
+                best = int(np.argmax(scores))
+                results[idx][i] = (float(scores[best]), p0 + best + w - 1)
         return results
 
-    fused_plans: list[tuple[int, list[int], Any]] = []
-    batched_plans: list[tuple[int, list[int]]] = []
-    if kernel == "fused":
-        for idx, valid in plans:
-            _, _, target, window_marks = requests[idx]
-            stats = target.sliding_stats(window_marks)
-            if stats.suspect_fraction > _SUSPECT_FRACTION_LIMIT:
-                batched_plans.append((idx, valid))
-            else:
-                fused_plans.append((idx, valid, stats))
-    else:
-        batched_plans = plans
+    fused_plans = []
+    batched_plans = []
+    for idx, valid, starts, p0 in plans:
+        _, _, target, w, _ = requests[idx]
+        if kernel == "fused":
+            stats = (
+                target.sliding_stats(w)
+                if p0 == 0
+                else SlidingWindowStats(target.power_dbm[:, p0:], w)
+            )
+            if stats.suspect_fraction <= _SUSPECT_FRACTION_LIMIT:
+                fused_plans.append((idx, valid, starts, p0, stats))
+                continue
+        batched_plans.append((idx, valid, starts, p0))
 
     if fused_plans:
-        sweeps = []
-        for idx, valid, stats in fused_plans:
-            query, ends, _, window_marks = requests[idx]
-            starts = np.array(
-                [ends[i] - window_marks + 1 for i in valid], dtype=np.intp
-            )
-            sweeps.append((query.power_dbm, starts, stats))
-        for (idx, valid, _), scores in zip(
+        sweeps = [
+            (requests[idx][0].power_dbm, starts, stats)
+            for idx, _, starts, _, stats in fused_plans
+        ]
+        for (idx, valid, _, p0, _), scores in zip(
             fused_plans, fused_sweep_many(sweeps)
         ):
-            query, ends, target, window_marks = requests[idx]
-            best = np.argmax(scores, axis=1)
-            _rescore_winners(
-                query, ends, target, window_marks, valid, best, results[idx]
-            )
+            finish(idx, valid, np.argmax(scores, axis=1) + p0)
 
-    if batched_plans:
-        groups: dict[tuple[int, int], list[tuple[int, list[int]]]] = {}
-        for idx, valid in batched_plans:
-            _, _, target, window_marks = requests[idx]
-            groups.setdefault((id(target), window_marks), []).append((idx, valid))
-        for members in groups.values():
-            first_idx = members[0][0]
-            target = requests[first_idx][2]
-            window_marks = requests[first_idx][3]
-            target_features = target.window_features(window_marks)
-            blocks = []
-            for idx, valid in members:
-                query, ends, _, _ = requests[idx]
-                rows = np.array(
-                    [ends[i] - window_marks + 1 for i in valid], dtype=np.intp
-                )
-                blocks.append(query.window_features(window_marks)[rows])
-            scores = correlation_matrix(np.vstack(blocks), target_features)
-            row = 0
-            for idx, valid in members:
-                sub = scores[row : row + len(valid)]
-                row += len(valid)
-                best = np.argmax(sub, axis=1)
-                query, ends, _, _ = requests[idx]
-                _rescore_winners(
-                    query, ends, target, window_marks, valid, best, results[idx]
-                )
+    groups: dict[tuple[int, int, int], list] = {}
+    for idx, valid, starts, p0 in batched_plans:
+        _, _, target, w, _ = requests[idx]
+        groups.setdefault((id(target), w, p0), []).append((idx, valid, starts))
+    for (_, w, p0), members in groups.items():
+        target = requests[members[0][0]][2]
+        scores = correlation_matrix(
+            np.vstack(
+                [
+                    requests[idx][0].window_features(w)[starts]
+                    for idx, _, starts in members
+                ]
+            ),
+            target.window_features(w)[p0:],
+        )
+        row = 0
+        for idx, valid, _ in members:
+            best = np.argmax(scores[row : row + len(valid)], axis=1) + p0
+            row += len(valid)
+            finish(idx, valid, best)
     return results
-
-
-def _match_windows_suffix(
-    query: GsmTrajectory,
-    query_end_marks: list[int],
-    target: GsmTrajectory,
-    window_marks: int,
-    min_target_pos: int,
-) -> list[tuple[float, int] | None]:
-    """:func:`_match_windows`, target scan restricted to a suffix.
-
-    Only target window start positions ``>= min_target_pos`` are scored
-    (clamped into range, so at least one position is always scanned) —
-    the streaming hot path's anchored sweep: after a SYN lock the peer
-    cannot have jumped backwards along its own odometer, so re-scanning
-    window positions long before the last lock is wasted work.  Always
-    uses the batched kernel: the suffix matmul over the memoised feature
-    rows *is* the O(window) step, and winners are re-scored exactly with
-    absolute positions, so a suffix that happens to contain the full
-    sweep's winner returns bitwise the same match.
-    """
-    results: list[tuple[float, int] | None] = [None] * len(query_end_marks)
-    if target.n_marks < window_marks:
-        return results
-    valid = [
-        i for i, end in enumerate(query_end_marks)
-        if end - window_marks + 1 >= 0 and end < query.n_marks
-    ]
-    if not valid:
-        return results
-    n_pos = target.n_marks - window_marks + 1
-    p0 = min(max(int(min_target_pos), 0), n_pos - 1)
-    rows = np.array(
-        [query_end_marks[i] - window_marks + 1 for i in valid], dtype=np.intp
-    )
-    scores = correlation_matrix(
-        query.window_features(window_marks)[rows],
-        target.window_features(window_marks)[p0:],
-    )
-    best = np.argmax(scores, axis=1) + p0
-    _rescore_winners(
-        query, query_end_marks, target, window_marks, valid, best, results
-    )
-    return results
-
-
-def find_syn_points_anchored(
-    own: GsmTrajectory,
-    other: GsmTrajectory,
-    anchor: "SynPoint",
-    config: RupsConfig | None = None,
-    n_points: int | None = None,
-    guard_m: float = 50.0,
-) -> list[SynPoint]:
-    """:func:`find_syn_points` with both sweeps anchored by a prior lock.
-
-    The streaming fast path (§V-B): with ``anchor`` the most recent
-    accepted SYN point, each query side's sweep scans only target window
-    positions whose end mark lies at or after the anchored odometer
-    reading minus ``guard_m`` — odometer distances never decrease, so
-    the newly shared segment can only sit there.  Cost per update is a
-    matmul over the guard band plus the marks travelled since the lock,
-    not the whole context.  Acceptance thresholds, counters, and
-    provenance match the full search; events carry ``anchored=True``.
-
-    The restricted argmax can miss a genuinely better peak outside the
-    band (e.g. after severe odometry slip), which surfaces as an
-    unresolved estimate — callers (the tracker) must fall back to the
-    full double-sided search, which is exactly the
-    :class:`~repro.core.tracking.RupsTracker` fallback ladder.
-    """
-    config = config or RupsConfig()
-    n_points = config.n_syn_points if n_points is None else int(n_points)
-    if n_points < 1:
-        raise ValueError("n_points must be >= 1")
-    if guard_m < 0:
-        raise ValueError("guard_m must be non-negative")
-    _check_comparable(own, other)
-    inc("syn.searches")
-    inc("syn.searches.anchored")
-    eff = _effective_window(own, other, config)
-    if eff is None:
-        inc("syn.no_window")
-        _emit_no_window(own, other, config)
-        return []
-    window_marks, threshold = eff
-    stride_marks = max(int(round(config.syn_stride_m / config.spacing_m)), 1)
-    offsets = [k * stride_marks for k in range(n_points)]
-    inc("syn.windows", len(offsets))
-    own_ends = [own.n_marks - 1 - off for off in offsets]
-    other_ends = [other.n_marks - 1 - off for off in offsets]
-
-    def floor_pos(target: GsmTrajectory, anchor_distance_m: float) -> int:
-        end_mark = int(
-            np.floor(
-                (anchor_distance_m - guard_m - target.geo.start_distance_m)
-                / target.spacing_m
-            )
-        )
-        return end_mark - (window_marks - 1)
-
-    with trace("syn.search"):
-        own_matches = _match_windows_suffix(
-            own, own_ends, other, window_marks,
-            floor_pos(other, anchor.other_distance_m),
-        )
-        other_matches = _match_windows_suffix(
-            other, other_ends, own, window_marks,
-            floor_pos(own, anchor.own_distance_m),
-        )
-        candidates = _assemble_candidates(
-            own, other, own_ends, other_ends,
-            own_matches, other_matches, window_marks,
-        )
-    accepted = [
-        syn for syn in candidates if syn is not None and syn.score >= threshold
-    ]
-    scored = sum(1 for syn in candidates if syn is not None)
-    emit(
-        "syn.search",
-        windows=len(offsets),
-        window_marks=window_marks,
-        threshold=threshold,
-        shrunk=window_marks < config.window_marks,
-        peaks=[None if syn is None else syn.score for syn in candidates],
-        accepted=len(accepted),
-        rejected_threshold=scored - len(accepted),
-        anchored=True,
-    )
-    inc("syn.rejected.threshold", scored - len(accepted))
-    inc("syn.accepted", len(accepted))
-    if len(accepted) > 1:
-        inc("syn.multi_syn_yields")
-    return accepted
 
 
 def _syn_from_match(
@@ -591,34 +400,6 @@ def _check_comparable(own: GsmTrajectory, other: GsmTrajectory) -> None:
         )
 
 
-def _double_sided_search(
-    own: GsmTrajectory,
-    other: GsmTrajectory,
-    offsets_marks: list[int],
-    window_marks: int,
-    kernel: str,
-) -> list[SynPoint | None]:
-    """Best SYN candidate per query offset, from both query sides.
-
-    For every offset the query window ending that many marks before the
-    most recent mark is slid over the opposite trajectory, *from both
-    sides* — the double-sided principle of §IV-D.  (One side is
-    typically degenerate: the front vehicle's most recent context has no
-    counterpart in the rear vehicle's trajectory, so its best window
-    only partially overlaps and scores lower.)  All windows of one side
-    are scored in a single batch; the per-offset winner is the higher of
-    the two sides (ties keep the own side, matching the historical
-    per-window loop order).
-    """
-    own_ends = [own.n_marks - 1 - off for off in offsets_marks]
-    other_ends = [other.n_marks - 1 - off for off in offsets_marks]
-    own_matches = _match_windows(own, own_ends, other, window_marks, kernel)
-    other_matches = _match_windows(other, other_ends, own, window_marks, kernel)
-    return _assemble_candidates(
-        own, other, own_ends, other_ends, own_matches, other_matches, window_marks
-    )
-
-
 def _assemble_candidates(
     own: GsmTrajectory,
     other: GsmTrajectory,
@@ -658,38 +439,10 @@ def seek_syn_point(
     Pass 1 slides the most-recent own segment over the other trajectory;
     pass 2 slides the most-recent other segment over the own trajectory.
     The global maximum above the coherency threshold wins; below it the
-    trajectories are declared unrelated.
+    trajectories are declared unrelated.  A single-offset
+    :func:`find_syn_points` search.
     """
-    config = config or RupsConfig()
-    _check_comparable(own, other)
-    inc("syn.searches")
-    eff = _effective_window(own, other, config)
-    if eff is None:
-        inc("syn.no_window")
-        _emit_no_window(own, other, config)
-        return None
-    window_marks, threshold = eff
-    inc("syn.windows", 1)
-    with trace("syn.search"):
-        (best,) = _double_sided_search(
-            own, other, [0], window_marks, config.kernel
-        )
-    accepted = best is not None and best.score >= threshold
-    emit(
-        "syn.search",
-        windows=1,
-        window_marks=window_marks,
-        threshold=threshold,
-        shrunk=window_marks < config.window_marks,
-        peaks=[None if best is None else best.score],
-        accepted=int(accepted),
-        rejected_threshold=int(best is not None and not accepted),
-    )
-    if not accepted:
-        inc("syn.rejected.threshold")
-        return None
-    inc("syn.accepted")
-    return best
+    return next(iter(find_syn_points(own, other, config, n_points=1)), None)
 
 
 def find_syn_points(
@@ -704,17 +457,43 @@ def find_syn_points(
     behind it, alternating between the two trajectories as query side
     (so the search degrades gracefully whichever vehicle is in front).
     Returns the accepted SYN points, most recent first; empty when the
-    trajectories appear unrelated.
-
-    With the default batched kernel, each side's staggered query windows
-    are scored against every window position of the other trajectory as
-    one correlation-matrix product over memoised features; acceptance is
-    then a threshold mask over the per-offset maxima.
+    trajectories appear unrelated.  A batch-of-one
+    :func:`find_syn_points_batch` search.
     """
-    (accepted,) = find_syn_points_batch(
-        [(own, other)], config=config, n_points=n_points
+    return find_syn_points_batch([(own, other)], config, n_points)[0]
+
+
+def find_syn_points_anchored(
+    own: GsmTrajectory,
+    other: GsmTrajectory,
+    anchor: SynPoint,
+    config: RupsConfig | None = None,
+    n_points: int | None = None,
+    guard_m: float = 50.0,
+) -> list[SynPoint]:
+    """:func:`find_syn_points` with both sweeps anchored by a prior lock:
+    a batch-of-one :func:`find_syn_points_batch` search with ``anchor``
+    (see there for the suffix rule and ``guard_m``)."""
+    return find_syn_points_batch(
+        [(own, other)], config, n_points, anchors=[anchor], guard_m=guard_m
+    )[0]
+
+
+def _anchor_floor(
+    target: GsmTrajectory,
+    anchor_distance_m: float,
+    guard_m: float,
+    window_marks: int,
+) -> int:
+    """First target window start an anchored sweep scans: the window
+    whose end mark lies ``guard_m`` before the anchored odometer reading."""
+    end_mark = int(
+        np.floor(
+            (anchor_distance_m - guard_m - target.geo.start_distance_m)
+            / target.spacing_m
+        )
     )
-    return accepted
+    return end_mark - (window_marks - 1)
 
 
 def find_syn_points_batch(
@@ -722,6 +501,8 @@ def find_syn_points_batch(
     config: RupsConfig | None = None,
     n_points: int | None = None,
     query_ids: list[str | None] | None = None,
+    anchors: list[SynPoint | None] | None = None,
+    guard_m: float = 50.0,
 ) -> list[list[SynPoint]]:
     """:func:`find_syn_points` for many ``(own, other)`` pairs at once.
 
@@ -732,27 +513,49 @@ def find_syn_points_batch(
     points, counters, and provenance events are exactly those of the
     per-pair function; ``query_ids`` (optional, one per pair) tags each
     pair's events as :func:`~repro.obs.events.use_query_id` would.
+
+    ``anchors`` (optional, one per pair) anchors a pair's sweeps on a
+    prior lock — the streaming fast path (§V-B).  With the most recent
+    accepted SYN point as anchor, each query side scans only target
+    window positions whose end mark lies at or after the anchored
+    odometer reading minus ``guard_m``: odometer distances never
+    decrease, so the newly shared segment can only sit there, and an
+    update costs the guard band plus the marks travelled since the
+    lock, not the whole context.  Thresholds, counters, and provenance
+    match the full search; anchored searches also count
+    ``syn.searches.anchored`` and their events carry ``anchored=True``.
+    The restricted argmax can miss a better peak outside the band
+    (e.g. after severe odometry slip), which surfaces as an unresolved
+    estimate — callers must then retry the full search, exactly as the
+    :class:`~repro.core.tracking.RupsTracker` fallback ladder does.
     """
     config = config or RupsConfig()
     n_points = config.n_syn_points if n_points is None else int(n_points)
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
+    if guard_m < 0:
+        raise ValueError("guard_m must be non-negative")
     ids: list[str | None] = (
         [None] * len(pairs) if query_ids is None else list(query_ids)
     )
     if len(ids) != len(pairs):
         raise ValueError("query_ids must match pairs in length")
+    pair_anchors = [None] * len(pairs) if anchors is None else list(anchors)
+    if len(pair_anchors) != len(pairs):
+        raise ValueError("anchors must match pairs in length")
     stride_marks = max(int(round(config.syn_stride_m / config.spacing_m)), 1)
     offsets = [k * stride_marks for k in range(n_points)]
 
-    # Phase A: per-pair admission — comparability, window sizing, and the
-    # no-window provenance — exactly as the per-pair search does it.
-    requests: list[tuple[GsmTrajectory, list[int], GsmTrajectory, int]] = []
+    # Phase A: per-pair admission — comparability, window sizing, the
+    # no-window provenance, and the anchored sweep floors.
+    requests: list[tuple[GsmTrajectory, list[int], GsmTrajectory, int, int]] = []
     metas: list[tuple[int, float, list[int], list[int], int] | None] = []
-    for (own, other), query_id in zip(pairs, ids):
+    for (own, other), query_id, anchor in zip(pairs, ids, pair_anchors):
         with _query_scope(query_id):
             _check_comparable(own, other)
             inc("syn.searches")
+            if anchor is not None:
+                inc("syn.searches.anchored")
             eff = _effective_window(own, other, config)
             if eff is None:
                 inc("syn.no_window")
@@ -763,17 +566,25 @@ def find_syn_points_batch(
             inc("syn.windows", len(offsets))
         own_ends = [own.n_marks - 1 - off for off in offsets]
         other_ends = [other.n_marks - 1 - off for off in offsets]
+        own_floor = other_floor = 0
+        if anchor is not None:
+            own_floor = _anchor_floor(
+                other, anchor.other_distance_m, guard_m, window_marks
+            )
+            other_floor = _anchor_floor(
+                own, anchor.own_distance_m, guard_m, window_marks
+            )
         metas.append(
             (window_marks, threshold, own_ends, other_ends, len(requests))
         )
-        requests.append((own, own_ends, other, window_marks))
-        requests.append((other, other_ends, own, window_marks))
+        requests.append((own, own_ends, other, window_marks, own_floor))
+        requests.append((other, other_ends, own, window_marks, other_floor))
 
     # Phase B: one cross-pair sweep, then per-pair assembly + acceptance.
     with trace("syn.sweep"):
         matches = _match_windows_many(requests, config.kernel)
     out: list[list[SynPoint]] = []
-    for (own, other), query_id, meta in zip(pairs, ids, metas):
+    for (own, other), query_id, anchor, meta in zip(pairs, ids, pair_anchors, metas):
         if meta is None:
             out.append([])
             continue
@@ -804,6 +615,7 @@ def find_syn_points_batch(
                 peaks=[None if syn is None else syn.score for syn in candidates],
                 accepted=len(accepted),
                 rejected_threshold=scored - len(accepted),
+                **({} if anchor is None else {"anchored": True}),
             )
             inc("syn.rejected.threshold", scored - len(accepted))
             inc("syn.accepted", len(accepted))

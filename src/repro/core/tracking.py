@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.binding import bind_scan
 from repro.core.config import RupsConfig
 from repro.core.engine import RupsEngine, RupsEstimate
@@ -248,7 +246,7 @@ class RupsTracker:
         within ``track``'s time span) into its resident
         :class:`~repro.core.trajectory.TrajectoryBuilder` and serves the
         bounded own context out of it in O(chunk + changed window) — no
-        re-binning of the drive, no cold feature rebuild.  ``track`` is
+        re-binning of the drive.  ``track`` is
         the own dead-reckoned track as known now and must extend the one
         passed previously.  The search then runs the usual locked /
         full ladder, with one extra rung in front when
@@ -468,31 +466,25 @@ class RupsTracker:
         plan = self.plan_update(own, other, context_age_s)
         if plan.update is not None:
             return plan.update
-        own_q, other_q = plan.pair
-        use_anchor = anchored and self._locked and self._anchor is not None
-        if use_anchor:
-            # Fastest rung of the ladder: scan only the suffix at or
-            # after the last lock.  Empty-handed is not conclusive (the
-            # true peak may sit outside the guard band), so retry the
-            # full double-sided search over the trimmed context before
-            # charging a locked failure.
+        # Fastest rung of the ladder: anchored on the last lock, the
+        # sweep scans only the suffix at or after it.
+        anchor = self._anchor if anchored and self._locked else None
+        if anchor is not None:
             inc("tracker.updates.anchored")
-            estimate = self._engine.estimate_relative_distance_anchored(
-                own_q, other_q, self._anchor, guard_m=self.anchor_guard_m
-            )
-            if not estimate.resolved:
-                inc("tracker.anchor_retries")
-                estimate = self._engine.estimate_relative_distance(
-                    own_q, other_q
-                )
-        else:
-            estimate = self._engine.estimate_relative_distance(own_q, other_q)
+        (estimate,) = self._engine.estimate_relative_distance_batch(
+            [plan.pair], anchors=[anchor], guard_m=self.anchor_guard_m
+        )
+        if anchor is not None and not estimate.resolved:
+            # Empty-handed is not conclusive (the true peak may sit
+            # outside the guard band), so retry the full double-sided
+            # search over the trimmed context before charging a locked
+            # failure.
+            inc("tracker.anchor_retries")
+            estimate = self._engine.estimate_relative_distance(*plan.pair)
+        use_anchor = anchor is not None
         update = self.absorb_update(plan, estimate, use_anchor=use_anchor)
         if update is None:
-            retry_own, retry_other = plan.retry_pair
-            estimate = self._engine.estimate_relative_distance(
-                retry_own, retry_other
-            )
+            estimate = self._engine.estimate_relative_distance(*plan.retry_pair)
             update = self.absorb_retry(plan, estimate, use_anchor=use_anchor)
         return update
 
@@ -503,8 +495,8 @@ class RupsTracker:
         # source trajectory did not change since the previous update
         # (vehicle stationary / same broadcast re-queried), hand back the
         # previous object *without* re-slicing — its memoised SYN-kernel
-        # window features, and every engine cache keyed on its token or
-        # identity, stay warm.  Tokens are only *computed* when the reuse
+        # sliding statistics, and every engine cache keyed on its token
+        # or identity, stay warm.  Tokens are only *computed* when the reuse
         # is plausible, though: the same object is a hit outright, and a
         # source whose shape or end timestamp moved (every streaming
         # tick) is a certain miss — hashing two full contexts per update
@@ -525,16 +517,6 @@ class RupsTracker:
                 ):
                     return tail
         tail = trajectory.tail(self.locked_context_m)
-        # tail() slices the power matrix, and window features are
-        # per-window pure, so the parent's memoised feature rows are
-        # exactly the tail's — share the suffix view instead of letting
-        # the tail recompute features from cold.
-        base = trajectory.n_marks - tail.n_marks
-        parent_features: dict[int, np.ndarray] = trajectory._window_features  # type: ignore[attr-defined]
-        tail_features: dict[int, np.ndarray] = tail._window_features  # type: ignore[attr-defined]
-        for w, feats in parent_features.items():
-            if tail.n_marks - w + 1 > 0:
-                tail_features[w] = feats[base:]
         self._trim_cache[role] = (trajectory, self.locked_context_m, tail)
         return tail
 

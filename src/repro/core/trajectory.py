@@ -26,7 +26,6 @@ __all__ = [
     "GeoTrajectory",
     "GsmTrajectory",
     "TrajectoryBuilder",
-    "seed_window_features",
 ]
 
 
@@ -284,11 +283,10 @@ class GsmTrajectory:
 
         The ``(n_positions, n_channels * w + n_channels)`` matrix of
         :func:`~repro.core.correlation.normalized_window_features`, built
-        once per window size and cached on this (immutable) trajectory —
-        the double-sliding search queries it from both sides and for
-        every multi-SYN offset, and locked tracking sessions that reuse a
-        trajectory object across updates (§V-B) skip the rebuild
-        entirely.  Treat the returned array as read-only.
+        once per window size and cached on this (immutable) trajectory.
+        Only the ``batched`` oracle kernel and the fused kernel's
+        degenerate-target fallback read it; production sweeps never
+        build it.  Treat the returned array as read-only.
         """
         key = int(window_marks)
         cache: dict[int, np.ndarray] = self._window_features  # type: ignore[attr-defined]
@@ -329,25 +327,17 @@ class TrajectoryBuilder:
     the contract the prefix-equivalence suite in
     ``tests/test_streaming_prefix.py`` enforces.
 
-    Beyond the power matrix, the builder keeps the served trajectories'
-    SYN-kernel caches warm across updates:
-
-    * when the requested window's content did not change at all, the
-      *previous object* is returned, so every memo on it (window
-      features, sliding stats, content token) and every identity- or
-      token-keyed engine cache stays hot;
-    * when it did change, the window-feature rows of unchanged columns
-      are copied from the previous build and only windows overlapping
-      changed columns are recomputed —
-      :func:`~repro.core.correlation.normalized_window_features` is
-      per-window pure, so the copied rows are bitwise what a cold build
-      would produce.  (Sliding statistics are *not* per-window pure —
-      their prefix sums run over the whole matrix — so they are left to
-      rebuild lazily.)
-
-    Each context length requested through :meth:`trajectory` keeps its
-    own seeding chain, so a tracker alternating full-context and
+    When the requested window's content did not change at all since the
+    previous serve, the *previous object* is returned, so every memo on
+    it (sliding stats, content token) and every identity- or token-keyed
+    engine cache stays hot.  Each context length requested through
+    :meth:`trajectory` keeps its own serve chain (which also seeds the
+    incremental gap fill), so a tracker alternating full-context and
     locked-context builds warms both.
+
+    :meth:`append` validates before it commits: a rejected chunk leaves
+    the builder — binding state, stream token, measurement count, served
+    trajectory — exactly as it was.
 
     Parameters
     ----------
@@ -381,7 +371,7 @@ class TrajectoryBuilder:
         self._index = None  # DriveBindingIndex, created on first append
         self._hash = hashlib.sha256()
         self._n_measurements = 0
-        # Per-context-length seeding chains: length key -> last served
+        # Per-context-length serve chains: length key -> last served
         # (interpolated) window and its raw (uninterpolated) twin, the
         # seed for the next serve's incremental gap fill.
         self._last: dict[float | None, GsmTrajectory] = {}
@@ -419,7 +409,25 @@ class TrajectoryBuilder:
             The vehicle's dead-reckoned track *as known now*; each call
             must pass a track that extends the previous one (passing the
             same full-drive track every time satisfies this trivially).
+
+        Raises ``ValueError`` — with the builder unchanged — for a chunk
+        that is unsorted, overlaps earlier measurements, reaches beyond
+        ``track``, or uses another channel plan, and for a track that
+        does not extend the previous one.
         """
+        if self._index is None:
+            from repro.core.binding import DriveBindingIndex
+
+            # Private (never shared via for_drive): extend() mutates it.
+            index = DriveBindingIndex(chunk, track, spacing_m=self.spacing_m)
+            # The batch constructor accepts any stream; converting to the
+            # appendable form now runs the streaming checks before the
+            # index is committed, not on the next append.
+            index._prepare_extendable()
+            self._index = index
+        else:
+            # extend() checks everything before it mutates anything.
+            self._index.extend(chunk, track)
         # Hash one fixed-width record per measurement so the digest
         # depends only on the measurement sequence, not on how it was
         # cut into chunks (per-array hashing would interleave bytes
@@ -430,15 +438,6 @@ class TrajectoryBuilder:
         records[:, 2] = chunk.rssi_dbm
         self._hash.update(records.tobytes())
         self._n_measurements += len(chunk)
-        if self._index is None:
-            from repro.core.binding import DriveBindingIndex
-
-            # Private (never shared via for_drive): extend() mutates it.
-            self._index = DriveBindingIndex(
-                chunk, track, spacing_m=self.spacing_m
-            )
-        else:
-            self._index.extend(chunk, track)
 
     def trajectory(
         self,
@@ -464,82 +463,25 @@ class TrajectoryBuilder:
             context_length_m=length,
             interpolate=False,
         )
+        prev = self._last.get(key)
         if self.interpolate:
             from repro.core.binding import seed_interpolate_missing
 
-            filled = seed_interpolate_missing(
-                self._last_raw.get(key), self._last.get(key), new
-            )
+            filled = seed_interpolate_missing(self._last_raw.get(key), prev, new)
             self._last_raw[key] = new
             new = filled
-        new = seed_window_features(self._last.get(key), new)
+        if prev is not None and _same_window(prev, new):
+            return prev
         self._last[key] = new
         return new
 
 
-def seed_window_features(
-    prev: GsmTrajectory | None, new: GsmTrajectory
-) -> GsmTrajectory:
-    """Carry window-feature memos from ``prev`` onto ``new`` bitwise-safely.
-
-    The streaming seeding primitive, used by :class:`TrajectoryBuilder`
-    for served windows and by the engine's channel reduction for the
-    reduced pairs a tracking session rebuilds every period.  Finds the
-    first changed column by diffing the overlap (robust to the
-    provisional last mark being refined and to interpolation reaching
-    back into earlier columns), then per cached window size copies the
-    feature rows of windows lying entirely in unchanged columns and
-    recomputes only the rest —
-    :func:`~repro.core.correlation.normalized_window_features` is
-    per-window pure, so the copied rows are exactly what a cold build
-    would produce.  Returns ``prev`` itself when nothing changed at all,
-    ``new`` (possibly with seeded memos) otherwise; never seeds sliding
-    statistics (their prefix sums span the whole matrix).
-    """
-    if prev is None or prev.geo.spacing_m != new.geo.spacing_m:
-        return new
-    if not np.array_equal(prev.channel_ids, new.channel_ids):
-        return new
-    off_f = (
-        new.geo.start_distance_m - prev.geo.start_distance_m
-    ) / new.spacing_m
-    off = int(round(off_f))
-    if off < 0 or abs(off - off_f) > 1e-9:
-        return new
-    n_overlap = min(prev.n_marks - off, new.n_marks)
-    if n_overlap <= 0:
-        return new
-    a = prev.power_dbm[:, off : off + n_overlap]
-    b = new.power_dbm[:, :n_overlap]
-    # Bit-level equality: float64 and int64 share an itemsize, so the
-    # view is free, and one vectorised compare replaces the isnan dance.
-    # Identical binding pipelines produce identical bitpatterns, so
-    # equal-but-differently-encoded values (-0.0/+0.0, NaN payloads)
-    # only ever flag a column as changed — conservative, never wrong.
-    same_cols = (a.view(np.int64) == b.view(np.int64)).all(axis=0)
-    j0 = n_overlap if same_cols.all() else int(np.argmin(same_cols))
-    if (
-        off == 0
-        and j0 == n_overlap
-        and new.n_marks == prev.n_marks
-        and np.array_equal(new.geo.timestamps_s, prev.geo.timestamps_s)
-        and np.array_equal(new.geo.headings_rad, prev.geo.headings_rad)
-    ):
-        return prev
-    prev_features: dict[int, np.ndarray] = prev._window_features  # type: ignore[attr-defined]
-    new_features: dict[int, np.ndarray] = new._window_features  # type: ignore[attr-defined]
-    for w, feats in prev_features.items():
-        n_pos = new.n_marks - w + 1
-        if n_pos <= 0:
-            continue
-        # Rows 0..r0-1 cover only columns < j0 (unchanged), and map
-        # to prev rows off..off+r0-1.
-        r0 = max(0, min(j0, new.n_marks) - w + 1)
-        if r0 <= 0 or off + r0 > feats.shape[0]:
-            continue
-        out = np.empty((n_pos, feats.shape[1]), dtype=feats.dtype)
-        out[:r0] = feats[off : off + r0]
-        if r0 < n_pos:
-            out[r0:] = normalized_window_features(new.power_dbm[:, r0:], w)
-        new_features[w] = out
-    return new
+def _same_window(a: GsmTrajectory, b: GsmTrajectory) -> bool:
+    """Whether two serves of one builder hold bit-identical windows."""
+    return (
+        a.geo.start_distance_m == b.geo.start_distance_m
+        # Bit-level compare: NaN cells of never-measured channels match.
+        and np.array_equal(a.power_dbm.view(np.int64), b.power_dbm.view(np.int64))
+        and np.array_equal(a.geo.timestamps_s, b.geo.timestamps_s)
+        and np.array_equal(a.geo.headings_rad, b.geo.headings_rad)
+    )

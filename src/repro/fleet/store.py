@@ -130,11 +130,13 @@ class FleetStore:
         ``track`` the dead-reckoned track as known now (it must extend
         the previous one) — the same contract as
         :meth:`RupsTracker.stream_update`.  Unknown vehicles are
-        admitted on first ingest.
+        admitted on their first *accepted* ingest: a chunk the builder
+        rejects (``ValueError``) changes nothing, admission included.
         """
         shard = self._shards[self.shard_of(vehicle_id)]
         slot = shard.get(vehicle_id)
-        if slot is None:
+        admit = slot is None
+        if admit:
             slot = VehicleSlot(
                 vehicle_id=str(vehicle_id),
                 builder=TrajectoryBuilder(
@@ -143,10 +145,11 @@ class FleetStore:
                 ),
                 ring=deque(maxlen=self.ring_chunks),
             )
+        slot.builder.append(chunk, track)
+        if admit:
             shard[vehicle_id] = slot
             inc("fleet.store.vehicles_admitted")
             set_gauge("fleet.store.vehicles", self.n_vehicles)
-        slot.builder.append(chunk, track)
         slot.track = track
         slot.ring.append(chunk)
         slot.n_chunks += 1

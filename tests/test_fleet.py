@@ -18,7 +18,9 @@ import pytest
 
 from repro.core.config import RupsConfig
 from repro.core.tracking import RupsTracker
+from repro.core.trajectory import TrajectoryBuilder
 from repro.fleet import FleetQuery, FleetService, FleetStore
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.sensors.deadreckoning import EstimatedTrack
 
 CFG = RupsConfig(context_length_m=600.0, window_channels=30)
@@ -71,6 +73,41 @@ class TestFleetStore:
         assert store.n_vehicles == 1
         assert store.vehicles() == ["v1"]
         assert sum(store.shard_sizes()) == 1
+
+    def test_rejected_first_ingest_admits_nothing(self, shared_pair, monkeypatch):
+        store = FleetStore(CFG)
+        rear = shared_pair.rear
+        track = rear.estimated.until(float(rear.estimated.times_s[0]) + 30.0)
+        bound = int(
+            np.searchsorted(
+                rear.scan.times_s, float(track.times_s[-1]), side="right"
+            )
+        )
+
+        def refuse(builder, chunk, track):
+            raise ValueError("refused")
+
+        def assert_not_admitted() -> None:
+            assert not store.has("v1")
+            assert store.n_vehicles == 0
+            assert registry.counter("fleet.store.vehicles_admitted") == 0
+            assert registry.gauge("fleet.store.vehicles") is None
+
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            with monkeypatch.context() as patch:
+                patch.setattr(TrajectoryBuilder, "append", refuse)
+                with pytest.raises(ValueError, match="refused"):
+                    store.ingest("v1", rear.scan.slice(0, bound), track)
+            assert_not_admitted()
+            with pytest.raises(ValueError, match="beyond the track"):
+                store.ingest("v1", rear.scan.slice(0, bound + 50), track)
+            assert_not_admitted()
+            store.ingest("v1", rear.scan.slice(0, bound), track)
+        assert store.has("v1")
+        assert store.slot("v1").n_chunks == 1
+        assert registry.counter("fleet.store.vehicles_admitted") == 1
+        assert registry.gauge("fleet.store.vehicles") == 1.0
 
     def test_vehicles_sorted_across_shards(self, shared_pair):
         store = FleetStore(CFG, n_shards=4)

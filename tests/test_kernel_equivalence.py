@@ -13,6 +13,10 @@ inputs.  Two layers:
   per ``RupsConfig(kernel=...)``, and every fast kernel must return
   identical SYN indices (exact), scores within 1e-9, and identical
   ``None``/rejection outcomes to the reference.
+* **Suffix sweeps** — the anchored streaming rung's ``min_target_pos``
+  floors, in every kernel, against the reference loop over the same
+  clamped suffix: mixed anchored/full batches, floors past the last
+  position, and degenerate suffixes that take the fused fallback.
 
 Scenarios rotate through genuine overlaps (a shared road signal plus
 per-vehicle noise), disjoint signals (mostly rejections), degenerate
@@ -29,12 +33,21 @@ import pytest
 
 from repro.core.config import RupsConfig
 from repro.core.correlation import (
+    _SUSPECT_FRACTION_LIMIT,
     KERNELS,
+    SlidingWindowStats,
     batched_sliding_correlation,
     fused_sliding_correlation,
     reference_sliding_correlation,
 )
-from repro.core.syn import find_syn_points, find_syn_points_batch, seek_syn_point
+from repro.core.syn import (
+    SynPoint,
+    _match_windows_many,
+    find_syn_points,
+    find_syn_points_anchored,
+    find_syn_points_batch,
+    seek_syn_point,
+)
 from repro.core.trajectory import GeoTrajectory, GsmTrajectory
 
 TOL = 1e-9
@@ -418,3 +431,139 @@ class TestBatchDifferentialSweep:
         n_pairs = 3 + seed % 4  # 3..6 pairs per batch, 216 pairs total
         pairs, cfg = random_pair_batch(1000 + seed, n_pairs)
         assert_batch_equivalent(pairs, cfg)
+
+
+# ----------------------------------------------------------------------
+# anchored suffix sweeps (min_target_pos)
+# ----------------------------------------------------------------------
+
+def reference_suffix_matches(request):
+    """The per-window loop over the clamped suffix of one sweep request."""
+    query, ends, target, w, min_pos = request
+    if target.n_marks < w:
+        return [None] * len(ends)
+    p0 = min(max(min_pos, 0), target.n_marks - w)
+    out = []
+    for end in ends:
+        if end - w + 1 < 0 or end >= query.n_marks:
+            out.append(None)
+            continue
+        scores = reference_sliding_correlation(
+            query.power_dbm[:, end - w + 1 : end + 1], target.power_dbm[:, p0:]
+        )
+        best = int(np.argmax(scores))
+        out.append((float(scores[best]), p0 + best + w - 1))
+    return out
+
+
+def assert_suffix_sweeps_match_reference(requests) -> None:
+    """Every kernel's batch sweep == the reference loop over each suffix:
+    same winner end mark, bit-identical (re-scored) winner score."""
+    expected = [reference_suffix_matches(r) for r in requests]
+    for kernel in sorted(KERNELS):
+        assert _match_windows_many(requests, kernel) == expected, kernel
+
+
+def _suffix_requests(seed: int):
+    """Sweep requests over one shared road: both directions of a pair
+    plus convoy probes sharing the target object, with floors drawn
+    from the full range (negative, zero, interior, past the end)."""
+    rng = np.random.default_rng(2_000_000 + seed)
+    n_ch = int(rng.integers(3, 8))
+    road = _road_signal(rng, n_ch, 300)
+    head = make_trajectory(road[:, 40:300] + rng.normal(0, 1.0, (n_ch, 260)))
+    w = int(rng.integers(8, 30))
+    floors = [-40, 0, int(rng.integers(1, 200)), 10_000]
+    requests = []
+    for k, o in enumerate(rng.integers(0, 200, size=4)):
+        la = int(rng.integers(w + 5, 100))
+        probe = make_trajectory(road[:, o : o + la] + rng.normal(0, 1.0, (n_ch, la)))
+        ends = [probe.n_marks - 1 - j * 7 for j in range(3)]
+        requests.append((probe, ends, head, w, floors[k]))
+        requests.append((head, [head.n_marks - 1], probe, w, floors[(k + 2) % 4] // 3))
+    return requests
+
+
+class TestSuffixSweepDifferential:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_mixed_anchored_and_full_requests(self, seed):
+        assert_suffix_sweeps_match_reference(_suffix_requests(seed))
+
+    def test_floor_past_last_position_clamps(self):
+        rng = np.random.default_rng(5)
+        road = _road_signal(rng, 5, 200)
+        own = make_trajectory(road[:, :120] + rng.normal(0, 1.0, (5, 120)))
+        other = make_trajectory(road[:, 30:200] + rng.normal(0, 1.0, (5, 170)))
+        w = 21
+        n_pos = other.n_marks - w + 1
+        requests = [
+            (own, [own.n_marks - 1], other, w, n_pos - 1),
+            (own, [own.n_marks - 1], other, w, n_pos),
+            (own, [own.n_marks - 1], other, w, 10**9),
+        ]
+        assert_suffix_sweeps_match_reference(requests)
+        for kernel in sorted(KERNELS):
+            for (match,) in _match_windows_many(requests, kernel):
+                assert match[1] == other.n_marks - 1  # the last window
+
+    def test_degenerate_suffix_takes_the_fallback(self):
+        rng = np.random.default_rng(11)
+        road = _road_signal(rng, 6, 260)
+        target_p = road[:, :260] + rng.normal(0, 1.0, (6, 260))
+        target_p[:, 200:] = target_p[:, 200:201]  # constant tail
+        target = make_trajectory(target_p)
+        own = make_trajectory(road[:, 60:160] + rng.normal(0, 1.0, (6, 100)))
+        w, p0 = 25, 180
+        assert SlidingWindowStats(target.power_dbm, w).suspect_fraction <= (
+            _SUSPECT_FRACTION_LIMIT
+        )
+        assert SlidingWindowStats(target.power_dbm[:, p0:], w).suspect_fraction > (
+            _SUSPECT_FRACTION_LIMIT
+        ), "fixture: the suffix must be degenerate-dominated"
+        ends = [own.n_marks - 1, own.n_marks - 11]
+        assert_suffix_sweeps_match_reference(
+            [(own, ends, target, w, p0), (own, ends, target, w, 0)]
+        )
+
+
+class TestAnchoredSearchDifferential:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_batch_with_anchors_matches_per_pair_reference(self, seed):
+        pairs, cfg = random_pair_batch(3000 + seed, 5)
+        anchors = []
+        for k, (own, other) in enumerate(pairs):
+            if k % 2 or own.n_marks < 3 or other.n_marks < 3:
+                anchors.append(None)
+                continue
+            anchors.append(
+                SynPoint(
+                    score=1.5,
+                    own_distance_m=float(own.geo.distances_m[own.n_marks // 2]),
+                    other_distance_m=float(other.geo.distances_m[other.n_marks // 3]),
+                    own_offset_m=0.0,
+                    other_offset_m=0.0,
+                    window_length_m=cfg["window_length_m"],
+                    query_side="own",
+                )
+            )
+        assert any(a is not None for a in anchors)
+        ref_cfg = RupsConfig(kernel="reference", **cfg)
+        expected = [
+            find_syn_points(own, other, ref_cfg)
+            if anchor is None
+            else find_syn_points_anchored(own, other, anchor, ref_cfg, guard_m=5.0)
+            for (own, other), anchor in zip(pairs, anchors)
+        ]
+        for kernel in FAST_KERNELS:
+            got = find_syn_points_batch(
+                pairs, RupsConfig(kernel=kernel, **cfg), anchors=anchors, guard_m=5.0
+            )
+            for exp, out in zip(expected, got):
+                assert len(exp) == len(out), kernel
+                for r, b in zip(exp, out):
+                    _assert_same_syn(r, b)
+
+    def test_anchors_length_mismatch_rejected(self):
+        pairs, cfg = random_pair_batch(3, 2)
+        with pytest.raises(ValueError, match="anchors"):
+            find_syn_points_batch(pairs, RupsConfig(**cfg), anchors=[None])

@@ -5,11 +5,11 @@ ragged chunk appends, every incrementally maintained structure is
 **bitwise** what a cold batch build over the same prefix produces —
 
 * :meth:`DriveBindingIndex.extend` vs a fresh :func:`bind_scan`;
-* :class:`TrajectoryBuilder` served trajectories (power, geo, window
-  features, content token) vs cold builds, across ragged chunk
-  boundaries and truncated tracks;
+* :class:`TrajectoryBuilder` served trajectories (power, geo, content
+  token) vs cold builds, across ragged chunk boundaries and truncated
+  tracks;
 * the chained builder stream token vs any other chunking of the same
-  measurements;
+  measurements, and a rejected append changing nothing at all;
 * :meth:`RupsTracker.stream_update` vs the rebuild-per-update baseline
   (``stream_rebuild=True``) and, with anchoring off, vs the historical
   batch :meth:`RupsTracker.update` path;
@@ -21,6 +21,8 @@ of ``tests/test_core_binding_cache.py``.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from repro.core import RupsConfig
 from repro.core.binding import DriveBindingIndex, bind_scan
 from repro.core.tracking import RupsTracker
 from repro.core.trajectory import GeoTrajectory, TrajectoryBuilder
+from repro.gsm.band import ChannelPlan
 from repro.sensors.deadreckoning import EstimatedTrack
 
 
@@ -143,11 +146,6 @@ class TestTrajectoryBuilderPrefixEquivalence:
                 continue
             want = bind_scan(scan.slice(0, b), trk, context_length_m=150.0)
             _assert_trajectories_identical(got, want)
-            # Seeded feature memos must be bitwise the cold ones too.
-            for w in (11, 40):
-                assert np.array_equal(
-                    got.window_features(w), want.window_features(w), equal_nan=True
-                )
             checked += 1
         assert checked >= 5
 
@@ -184,6 +182,109 @@ class TestTrajectoryBuilderPrefixEquivalence:
     def test_builder_rejects_off_grid_context(self):
         with pytest.raises(ValueError, match="whole multiple"):
             TrajectoryBuilder(context_length_m=150.5)
+
+
+def _reversed(chunk):
+    """The chunk's measurements in reverse (unsorted) order."""
+    return replace(
+        chunk,
+        times_s=chunk.times_s[::-1],
+        channel_indices=chunk.channel_indices[::-1],
+        radio_ids=chunk.radio_ids[::-1],
+        s_true_m=chunk.s_true_m[::-1],
+        rssi_dbm=chunk.rssi_dbm[::-1],
+    )
+
+
+class TestBuilderAppendIsAtomic:
+    """A rejected append leaves token, count and served window untouched,
+    and the stream continues as if the bad chunk never arrived."""
+
+    @staticmethod
+    def _state(builder):
+        try:
+            served = builder.trajectory()
+        except ValueError:
+            served = None
+        return builder.content_token, builder.n_measurements, served
+
+    @staticmethod
+    def _assert_state(builder, state) -> None:
+        token, n_measurements, served = state
+        assert builder.content_token == token
+        assert builder.n_measurements == n_measurements
+        if served is None:
+            with pytest.raises(ValueError, match="no measurements"):
+                builder.trajectory()
+        else:
+            _assert_trajectories_identical(builder.trajectory(), served)
+
+    def _reject_each(self, builder, bad: dict) -> None:
+        state = self._state(builder)
+        for name, (chunk, trk) in bad.items():
+            try:
+                builder.append(chunk, trk)
+            except ValueError:
+                pass
+            else:
+                pytest.fail(f"{name} chunk was accepted")
+            self._assert_state(builder, state)
+
+    def test_rejected_first_append(self, shared_pair):
+        rec = shared_pair.rear
+        scan, track = rec.scan, rec.estimated
+        trk = _truncate(track, 60.0)
+        b = _chunk_bounds(scan, trk)
+        good = scan.slice(0, b)
+        builder = TrajectoryBuilder(context_length_m=150.0)
+        self._reject_each(
+            builder,
+            {
+                "unsorted": (_reversed(good), trk),
+                "beyond track": (scan.slice(0, b + 50), trk),
+            },
+        )
+        builder.append(good, trk)
+        clean = TrajectoryBuilder(context_length_m=150.0)
+        clean.append(good, trk)
+        self._assert_state(builder, self._state(clean))
+
+    def test_rejected_later_append(self, shared_pair):
+        rec = shared_pair.rear
+        scan, track = rec.scan, rec.estimated
+        trk1, trk2 = _truncate(track, 60.0), _truncate(track, 90.0)
+        b1, b2 = _chunk_bounds(scan, trk1), _chunk_bounds(scan, trk2)
+        first, nxt = scan.slice(0, b1), scan.slice(b1, b2)
+        plan = scan.plan
+        relabelled = ChannelPlan(
+            name="relabelled",
+            arfcns=plan.arfcns + 10_000,
+            frequencies_hz=plan.frequencies_hz,
+        )
+        rewritten = EstimatedTrack(
+            trk2.times_s, trk2.distance_m + 1.0, trk2.heading_rad
+        )
+        builder = TrajectoryBuilder(context_length_m=150.0)
+        builder.append(first, trk1)
+        self._reject_each(
+            builder,
+            {
+                "unsorted": (_reversed(nxt), trk2),
+                "overlapping": (scan.slice(b1 - 5, b2), trk2),
+                "beyond track": (scan.slice(b1, b2 + 50), trk2),
+                "fewer channels": (
+                    replace(nxt, plan=plan.subset(np.arange(plan.n_channels - 1))),
+                    trk2,
+                ),
+                "other channels": (replace(nxt, plan=relabelled), trk2),
+                "track not extended": (nxt, rewritten),
+            },
+        )
+        builder.append(nxt, trk2)
+        clean = TrajectoryBuilder(context_length_m=150.0)
+        clean.append(first, trk1)
+        clean.append(nxt, trk2)
+        self._assert_state(builder, self._state(clean))
 
 
 class TestTrackerStreaming:
@@ -383,21 +484,6 @@ class TestSatelliteFixes:
         own2 = bind_scan(rec.scan, rec.estimated, at_time_s=t1, context_length_m=600.0)
         assert own2 is not own
         assert tracker._trim(own2, "own") is first
-
-    def test_trim_seeds_tail_features_from_parent(self, shared_pair, shared_engine):
-        cfg = RupsConfig(context_length_m=600.0, window_channels=30)
-        tracker = RupsTracker(cfg, locked_context_m=150.0)
-        rec = shared_pair.rear
-        _, t1 = shared_pair.query_window(context_length_m=600.0)
-        own = bind_scan(rec.scan, rec.estimated, at_time_s=t1, context_length_m=600.0)
-        parent_feats = own.window_features(40)
-        tail = tracker._trim(own, "own")
-        seeded = tail._window_features[40]
-        assert np.shares_memory(seeded, parent_feats)
-        cold = bind_scan(
-            rec.scan, rec.estimated, at_time_s=t1, context_length_m=600.0
-        ).tail(150.0)
-        assert np.array_equal(seeded, cold.window_features(40), equal_nan=True)
 
     def test_geo_distance_memos(self):
         geo = GeoTrajectory(

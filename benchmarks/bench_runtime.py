@@ -3,15 +3,14 @@
 The performance contract of the ``repro.runtime`` stack, recorded to
 ``benchmarks/results/t-runtime.txt``:
 
-* ``run_campaign`` with the runtime configuration — fused SYN kernel,
-  engine binding/trajectory caches, shared-statics fan-out — must beat
-  the legacy serial path (batched kernel, ``jobs=1``) by >= 2x wall
-  clock.  The pooled variant is measured twice: cold (pool spawn +
-  first-touch cache fills inside the timed region) and warm (a
-  pre-spawned executor with resident caches), because the warm number
-  is what a long campaign sweep actually pays per run.
+* ``run_campaign`` runs serially (``jobs=1``) and pooled with engine
+  binding/trajectory caches and shared-statics fan-out.  The pooled
+  variant is measured twice: cold (pool spawn + first-touch cache
+  fills inside the timed region) and warm (a pre-spawned executor with
+  resident caches), because the warm number is what a long campaign
+  sweep actually pays per run.
 * On hosts with >= 2 cores the warm pooled run must be no slower than
-  the serial runtime variant, and on >= 4 cores it must win by >= 2x.
+  the serial run, and on >= 4 cores it must win by >= 2x.
   On a single-core host the pool pays pure spawn overhead, so those
   assertions are skipped — and the skip is recorded honestly in the
   result text rather than silently passing.
@@ -69,20 +68,22 @@ def test_runtime_speedup_contract(record_result, drive_inputs):
     plan = RGSM900.subset(np.arange(0, RGSM900.n_channels, 4), name="bench-49")
     ncpu = os.cpu_count() or 1
 
-    # -- campaign: legacy serial vs the parallel cached runtime --------
-    legacy, legacy_s = _timed(
-        lambda: run_campaign(
-            plan=plan, config=RupsConfig(kernel="batched"), jobs=1, **CAMPAIGN_KWARGS
-        )
+    # -- campaign: serial vs the parallel cached runtime ---------------
+    # An untimed serial run under another config first pays the
+    # process's one-time costs — the drives' binding indices land in the
+    # process-resident derived cache — and leaves this config's engine
+    # cold: the state the timed serial run has always started from.
+    run_campaign(
+        plan=plan, config=RupsConfig(aggregation="mean"), jobs=1, **CAMPAIGN_KWARGS
     )
     serial_rt, serial_rt_s = _timed(
         lambda: run_campaign(
-            plan=plan, config=RupsConfig(kernel="fused"), jobs=1, **CAMPAIGN_KWARGS
+            plan=plan, config=RupsConfig(), jobs=1, **CAMPAIGN_KWARGS
         )
     )
     pooled_cold, pooled_cold_s = _timed(
         lambda: run_campaign(
-            plan=plan, config=RupsConfig(kernel="fused"), jobs=4, **CAMPAIGN_KWARGS
+            plan=plan, config=RupsConfig(), jobs=4, **CAMPAIGN_KWARGS
         )
     )
     with DeterministicExecutor(jobs=4) as executor:
@@ -92,27 +93,20 @@ def test_runtime_speedup_contract(record_result, drive_inputs):
         # state the remaining runs pay.
         run_campaign(
             plan=plan,
-            config=RupsConfig(kernel="fused"),
+            config=RupsConfig(),
             executor=executor,
             **CAMPAIGN_KWARGS,
         )
         pooled, pooled_s = _timed(
             lambda: run_campaign(
                 plan=plan,
-                config=RupsConfig(kernel="fused"),
+                config=RupsConfig(),
                 executor=executor,
                 **CAMPAIGN_KWARGS,
             )
         )
-    renders = {
-        legacy.render(),
-        serial_rt.render(),
-        pooled_cold.render(),
-        pooled.render(),
-    }
+    renders = {serial_rt.render(), pooled_cold.render(), pooled.render()}
     assert len(renders) == 1, "runtime configurations changed campaign results"
-    best_s = min(pooled_s, pooled_cold_s, serial_rt_s)
-    campaign_speedup = legacy_s / best_s
 
     if ncpu >= 2:
         parallel_note = (
@@ -159,15 +153,11 @@ def test_runtime_speedup_contract(record_result, drive_inputs):
         "Runtime speedup contract "
         f"(campaign: {CAMPAIGN_KWARGS['n_drives']} drives x "
         f"{CAMPAIGN_KWARGS['queries_per_drive']} queries, 49-ch plan)\n"
-        f"  run_campaign legacy (batched, jobs=1):  {legacy_s:7.2f} s\n"
-        f"  run_campaign runtime (fused, jobs=1):   {serial_rt_s:7.2f} s "
-        f"({legacy_s / serial_rt_s:.2f}x)\n"
-        f"  run_campaign runtime (fused, jobs=4, cold pool): "
-        f"{pooled_cold_s:7.2f} s ({legacy_s / pooled_cold_s:.2f}x)\n"
-        f"  run_campaign runtime (fused, jobs=4, warm pool): "
-        f"{pooled_s:7.2f} s ({legacy_s / pooled_s:.2f}x)\n"
-        f"  campaign speedup (best runtime variant): {campaign_speedup:.2f}x "
-        "(contract: >= 2x vs legacy)\n"
+        f"  run_campaign serial (jobs=1):           {serial_rt_s:7.2f} s\n"
+        f"  run_campaign pooled (jobs=4, cold pool): {pooled_cold_s:7.2f} s "
+        f"({serial_rt_s / pooled_cold_s:.2f}x)\n"
+        f"  run_campaign pooled (jobs=4, warm pool): {pooled_s:7.2f} s "
+        f"({serial_rt_s / pooled_s:.2f}x)\n"
         f"{parallel_note}\n"
         f"  trajectory builds, 40 instants x {config.context_length_m:.0f} m "
         "context:\n"
@@ -182,7 +172,6 @@ def test_runtime_speedup_contract(record_result, drive_inputs):
         "t-runtime",
         text,
         timings={
-            "legacy_s": legacy_s,
             "pooled_s": pooled_s,
             "pooled_cold_s": pooled_cold_s,
             "serial_rt_s": serial_rt_s,
@@ -191,9 +180,6 @@ def test_runtime_speedup_contract(record_result, drive_inputs):
         },
     )
 
-    assert campaign_speedup >= 2.0, (
-        f"campaign runtime speedup {campaign_speedup:.2f}x below the 2x contract"
-    )
     assert build_speedup >= 5.0, (
         f"trajectory build speedup {build_speedup:.1f}x below the 5x contract"
     )

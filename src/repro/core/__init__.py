@@ -23,8 +23,6 @@ The pipeline (paper Fig 5):
 from repro.core.binding import bind_scan, interpolate_missing
 from repro.core.config import RupsConfig
 from repro.core.correlation import (
-    KERNELS,
-    batched_sliding_correlation,
     correlation_matrix,
     normalized_window_features,
     reference_sliding_correlation,
@@ -49,8 +47,6 @@ __all__ = [
     "bind_scan",
     "interpolate_missing",
     "RupsConfig",
-    "KERNELS",
-    "batched_sliding_correlation",
     "correlation_matrix",
     "normalized_window_features",
     "reference_sliding_correlation",

@@ -58,17 +58,6 @@ class RupsConfig:
         similar.
     max_heading_disagreement_rad:
         Heading-agreement gate for the check above.
-    kernel:
-        Sliding-search kernel of the SYN sweep (see
-        :mod:`repro.core.correlation`).  ``"fused"`` (default, the
-        production kernel) scores every window position from
-        prefix-sum sliding statistics and one grouped matmul, never
-        materialising a per-window feature tensor.  ``"batched"`` (one
-        matmul over normalised window features memoised on
-        :class:`GsmTrajectory`) and ``"reference"`` (the per-window
-        loop) stay selectable as test oracles: all three produce
-        identical SYN decisions, and the differential suites hold the
-        fused kernel to both.
     """
 
     context_length_m: float = 1000.0
@@ -84,7 +73,6 @@ class RupsConfig:
     min_coherency_threshold: float = 0.9
     heading_check: bool = False
     max_heading_disagreement_rad: float = 0.35
-    kernel: str = "fused"
 
     def __post_init__(self) -> None:
         if self.context_length_m <= 0:
@@ -116,12 +104,6 @@ class RupsConfig:
             )
         if self.max_heading_disagreement_rad <= 0:
             raise ValueError("max_heading_disagreement_rad must be positive")
-        from repro.core.correlation import KERNELS
-
-        if self.kernel not in KERNELS:
-            raise ValueError(
-                f"kernel must be one of {sorted(KERNELS)}, got {self.kernel!r}"
-            )
 
     @property
     def window_marks(self) -> int:

@@ -1,4 +1,4 @@
-"""Eq. (2): the trajectory correlation coefficient, plain, sliding, batched.
+"""Eq. (2): the trajectory correlation coefficient, plain and sliding.
 
 For trajectories ``S1, S2`` of width n channels and equal length,
 
@@ -10,54 +10,42 @@ is the vector of per-channel averages.  The first term rewards matching
 across channels; the paper motivates keeping both (§III-C).  The value
 range is [-2, 2], hence a coherency threshold of 1.2.
 
-Three interchangeable sliding kernels evaluate eq. (2) for a fixed query
-segment against every window position of a longer trajectory — the hot
-path of the SYN search (§V-A, O(m * w * k)).  ``fused`` is the one
-production kernel: every SYN search (cold queries, fleet ticks,
-tracking updates, the anchored streaming rung) runs through it.  The
-other two are kept as oracles — selectable through
-``RupsConfig(kernel=...)`` so the differential suites
-(``tests/test_kernel_equivalence.py``) can hold the fused kernel to
-them.
+One sliding sweep evaluates eq. (2) for fixed query segments against
+every window position of a longer trajectory — the hot path of the SYN
+search (§V-A, O(m * w * k)).  Every SYN search (cold queries, fleet
+ticks, tracking updates, the anchored streaming rung) runs through
+:func:`fused_sweep_many`:
 
-``fused``
-    The sweep without ever materialising a per-window feature tensor
-    (tens of MB per trajectory at paper-sized contexts).  Window means
-    and variances come from per-channel prefix sums in O(n * m), the
-    cross terms from one grouped matmul of the centred query rows
-    against a strided window view, and only the ``(n_pos, n)`` sliding
-    statistics (see :class:`SlidingWindowStats`) are kept per
-    trajectory.  Prefix-sum variances are ill-conditioned exactly where
-    eq. (2) gates windows (near-zero variance), so any window whose
-    prefix-sum variance falls below a conservative guard is *recomputed
-    exactly* from its raw values — degenerate windows therefore gate
-    bit-for-bit like the other kernels.  A target dominated by such
-    windows falls back to the ``batched`` computation.
+* window means and variances come from per-channel prefix sums in
+  O(n * m), the cross terms from one grouped matmul of the centred
+  query rows against a strided window view, and only the ``(n_pos, n)``
+  sliding statistics (see :class:`SlidingWindowStats`) are kept per
+  trajectory — never a per-window feature tensor (tens of MB per
+  trajectory at paper-sized contexts);
+* prefix-sum variances are ill-conditioned exactly where eq. (2) gates
+  windows (near-zero variance), so any window whose prefix-sum variance
+  falls below a conservative guard is *recomputed exactly* from its raw
+  values, and degenerate windows gate bit-for-bit like
+  :func:`trajectory_correlation`;
+* a target dominated by such windows falls back to the feature-matrix
+  product: :func:`normalized_window_features` z-normalises every window
+  into a row so eq. (2) between two windows is a dot product, and
+  :func:`correlation_matrix` scores all pairs in one BLAS matmul.
 
-``batched``
-    The whole search as one matrix product.  Every candidate window of a
-    trajectory is z-normalised once into a *feature matrix* ``F`` of
-    shape ``(n_positions, n*w + n)`` (see
-    :func:`normalized_window_features`); eq. (2) between window ``i`` of
-    one trajectory and window ``j`` of another is then exactly
-    ``F1[i] @ F2[j]``, so a full sweep — or the full correlation matrix
-    between *all* window pairs — is a single BLAS matmul.
-    :meth:`repro.core.trajectory.GsmTrajectory.window_features` memoises
-    ``F`` per trajectory, which makes repeated sweeps over one object
-    cheap and every cold one expensive.
-
-``reference``
-    A per-window Python loop calling :func:`trajectory_correlation` at
-    every position.  Slow, but each window is evaluated exactly as the
-    plain function defines it — the ground truth of the harness.
+:func:`sliding_trajectory_correlation` is the single-query form of the
+sweep.  :func:`reference_sliding_correlation` — a per-window Python loop
+calling :func:`trajectory_correlation` at every position — is the ground
+truth the differential suites (``tests/test_kernel_equivalence.py``)
+hold the sweep to.
 
 Degenerate windows are defined everywhere: a channel whose window has
 (near-)zero variance — or contains NaN from un-interpolated scan gaps —
 contributes exactly 0 to the channel average, and a degenerate
-cross-channel mean profile zeroes the second term.  All kernels apply
-the same per-side rule, so they agree up to floating-point association
-error (< 1e-12 in practice; the harness asserts 1e-9), and the SYN
-search re-scores every sweep winner exactly.
+cross-channel mean profile zeroes the second term.  The sweep, its
+fallback and the reference loop apply the same per-side rule, so they
+agree up to floating-point association error (< 1e-12 in practice; the
+harness asserts 1e-9), and the SYN search re-scores every sweep winner
+exactly.
 """
 
 from __future__ import annotations
@@ -66,15 +54,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
-    "DEFAULT_KERNEL",
-    "KERNELS",
     "SlidingWindowStats",
-    "batched_sliding_correlation",
     "correlation_matrix",
-    "fused_sliding_correlation",
     "fused_sweep",
     "fused_sweep_many",
-    "get_kernel",
     "normalized_window_features",
     "reference_sliding_correlation",
     "sliding_trajectory_correlation",
@@ -197,8 +180,8 @@ def reference_sliding_correlation(
 ) -> np.ndarray:
     """Eq. (2) of ``query`` at every target position, one window at a time.
 
-    The O(m * w * k) loop of §V-A, kept as the semantic reference for the
-    batched kernel: position ``p`` is literally
+    The O(m * w * k) loop of §V-A, kept as the semantic reference for
+    the sweep: position ``p`` is literally
     ``trajectory_correlation(query, target[:, p:p+w])``.
     """
     q = np.asarray(query, dtype=float)
@@ -287,27 +270,8 @@ def correlation_matrix(
     return fa @ fb.T
 
 
-def batched_sliding_correlation(
-    query: np.ndarray, target: np.ndarray
-) -> np.ndarray:
-    """Eq. (2) of ``query`` at every target position, via one matmul.
-
-    Semantically identical to :func:`reference_sliding_correlation` (the
-    differential harness holds them to 1e-9); asymptotically the same
-    O(m * w * k) work but performed as two vectorised normalisation
-    passes and a single BLAS product instead of ``m`` Python-level
-    window evaluations.
-    """
-    q = np.asarray(query, dtype=float)
-    t = np.asarray(target, dtype=float)
-    _, w, _ = _validate_sliding(q, t)
-    fq = normalized_window_features(q, w)  # single row
-    ft = normalized_window_features(t, w)
-    return correlation_matrix(fq, ft)[0]
-
-
 # ----------------------------------------------------------------------
-# fused kernel: prefix-sum sliding statistics + grouped matmuls
+# the sweep: prefix-sum sliding statistics + grouped matmuls
 # ----------------------------------------------------------------------
 
 #: Relative guard under which a prefix-sum window variance is considered
@@ -318,17 +282,17 @@ def batched_sliding_correlation(
 _SUSPECT_RTOL = 1e-7
 #: When more than this fraction of windows is suspect (e.g. wholly
 #: constant trajectories), per-window exact recomputation would cost more
-#: than the batched feature path — the sweep falls back to it instead.
+#: than the feature-matrix product — the sweep falls back to it instead.
 _SUSPECT_FRACTION_LIMIT = 0.25
 
 
 class SlidingWindowStats:
-    """Per-window statistics of one trajectory for the fused kernel.
+    """Per-window statistics of one trajectory for the sweep.
 
     For a ``(n, m)`` trajectory and window length ``w`` (``n_pos = m - w
     + 1`` positions), holds everything the fused sweep needs about the
-    *target* side, O(n * n_pos) memory in place of the batched kernel's
-    O(n_pos * n * w) feature tensor:
+    *target* side, O(n * n_pos) memory in place of the
+    O(n_pos * n * w) feature matrix of :func:`normalized_window_features`:
 
     ``centered``
         ``(n, m)`` row-centred trajectory with NaN zeroed — the matmul
@@ -416,8 +380,8 @@ class SlidingWindowStats:
 
         # Cross-channel mean profile per position (term 2 operand).  Any
         # channel with a NaN in its window poisons that position's
-        # profile — the batched kernel's NaN-propagating mean does the
-        # same — and near-degenerate profiles are recomputed exactly.
+        # profile — normalized_window_features' NaN-propagating mean does
+        # the same — and near-degenerate profiles are recomputed exactly.
         win_mean = mean_c + row_mean[:, None]
         profile = win_mean.T - win_mean.mean(axis=0)[:, None]
         pos_dead = ~nan_free.all(axis=0)
@@ -510,25 +474,17 @@ def fused_sweep(
     ``query`` is the ``(n, m_q)`` query-side trajectory, ``starts`` the
     start marks of its ``r`` windows, and ``target_stats`` the target's
     precomputed :class:`SlidingWindowStats` (same channel set and window
-    length).  Returns ``(r, n_pos)`` scores.
+    length).  Returns ``(r, n_pos)`` scores: a :func:`fused_sweep_many`
+    of one request.
     """
-    w = target_stats.window_marks
-    n = query.shape[0]
-    blocks = _query_window_blocks(
-        np.asarray(query, dtype=float), np.asarray(starts, dtype=np.intp), w
-    )
-    u = target_stats.centered
-    # Grouped per-channel matmul: (n, r, w) @ (n, w, n_pos) -> (n, r, n_pos).
-    sw = sliding_window_view(u, w, axis=1).transpose(0, 2, 1)
-    dots = np.matmul(np.ascontiguousarray(blocks[0].transpose(1, 0, 2)), sw)
-    return _fused_finish(dots, blocks, target_stats, n)
+    return fused_sweep_many([(query, starts, target_stats)])[0]
 
 
 def fused_sweep_many(
     sweeps: list[tuple[np.ndarray, np.ndarray, SlidingWindowStats]],
 ) -> list[np.ndarray]:
-    """Many :func:`fused_sweep` calls with shared-target GEMMs fused —
-    the cross-pair SYN kernel.
+    """Eq.-(2) scores of many sweep requests, shared-target GEMMs fused —
+    the cross-pair SYN sweep.
 
     ``sweeps`` is a list of ``(query, starts, target_stats)`` requests,
     typically every side of every pending query in a campaign chunk or a
@@ -538,14 +494,13 @@ def fused_sweep_many(
     stacked along the window-row axis and evaluated by a single
     ``np.matmul`` over ``(n, g*r, w) @ (n, w, n_pos)``: the target's
     sliding-window operand is built (and BLAS-buffered) once instead of
-    ``g`` times.  Requests with distinct targets run exactly the
-    per-request :func:`fused_sweep` GEMM — stacking distinct targets
-    would copy each one into a dense batch operand for zero reuse,
-    which profiling showed costs more than it saves.  Either way every
-    window row sees exactly the operands the per-request sweep would
-    have fed it, so results are bit-identical to calling
-    :func:`fused_sweep` per request (the differential suite holds both
-    to the reference loop).
+    ``g`` times.  Requests with distinct targets run one GEMM each —
+    stacking distinct targets would copy each one into a dense batch
+    operand for zero reuse, which profiling showed costs more than it
+    saves.  Either way every window row sees exactly the operands a
+    request swept alone would have fed it, so results are bit-identical
+    to one call per request (:func:`fused_sweep`; the differential
+    suite holds both to the reference loop).
 
     Returns one ``(r, n_pos)`` score matrix per request, in order.
     """
@@ -595,48 +550,8 @@ def fused_sweep_many(
     return results  # type: ignore[return-value]
 
 
-def fused_sliding_correlation(
-    query: np.ndarray, target: np.ndarray
-) -> np.ndarray:
-    """Eq. (2) of ``query`` at every target position, prefix-sum fused.
-
-    Semantically identical to :func:`reference_sliding_correlation` (the
-    differential harness holds all kernels to 1e-9); avoids the batched
-    kernel's full feature-tensor materialisation — O(n * m) sliding
-    statistics plus one grouped matmul.  Falls back to the batched
-    kernel when the target is dominated by degenerate windows (see
-    :data:`_SUSPECT_FRACTION_LIMIT`).
-    """
-    q = np.asarray(query, dtype=float)
-    t = np.asarray(target, dtype=float)
-    _, w, _ = _validate_sliding(q, t)
-    stats = SlidingWindowStats(t, w)
-    if stats.suspect_fraction > _SUSPECT_FRACTION_LIMIT:
-        return batched_sliding_correlation(q, t)
-    return fused_sweep(q, np.array([0], dtype=np.intp), stats)[0]
-
-
-DEFAULT_KERNEL = "fused"
-
-KERNELS = {
-    "reference": reference_sliding_correlation,
-    "batched": batched_sliding_correlation,
-    "fused": fused_sliding_correlation,
-}
-
-
-def get_kernel(name: str):
-    """Resolve a sliding-search kernel by name (see :data:`KERNELS`)."""
-    try:
-        return KERNELS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown kernel {name!r}; available: {sorted(KERNELS)}"
-        ) from None
-
-
 def sliding_trajectory_correlation(
-    query: np.ndarray, target: np.ndarray, kernel: str = DEFAULT_KERNEL
+    query: np.ndarray, target: np.ndarray
 ) -> np.ndarray:
     """Eq. (2) of ``query`` against every window position of ``target``.
 
@@ -646,14 +561,25 @@ def sliding_trajectory_correlation(
         ``(n_channels, w)`` fixed segment.
     target:
         ``(n_channels, m)`` trajectory to slide over, ``m >= w``.
-    kernel:
-        ``"fused"`` (default), ``"batched"`` or ``"reference"`` — see
-        :data:`KERNELS`.
 
     Returns
     -------
     numpy.ndarray
         ``(m - w + 1,)`` trajectory correlation coefficients; position
         ``p`` compares ``query`` with ``target[:, p:p+w]``.
+
+    The production sweep for one query (the differential harness holds
+    it to :func:`reference_sliding_correlation` to 1e-9): O(n * m)
+    sliding statistics plus one grouped matmul.  A target dominated by
+    degenerate windows (see :data:`_SUSPECT_FRACTION_LIMIT`) is scored
+    by the feature-matrix product instead.
     """
-    return get_kernel(kernel)(query, target)
+    q = np.asarray(query, dtype=float)
+    t = np.asarray(target, dtype=float)
+    _, w, _ = _validate_sliding(q, t)
+    stats = SlidingWindowStats(t, w)
+    if stats.suspect_fraction > _SUSPECT_FRACTION_LIMIT:
+        return correlation_matrix(
+            normalized_window_features(q, w), normalized_window_features(t, w)
+        )[0]
+    return fused_sweep(q, np.array([0], dtype=np.intp), stats)[0]

@@ -265,11 +265,13 @@ class RupsEngine:
         agree on the subset.
 
         ``use_cache=False`` skips the token-keyed reduction LRU — probe
-        and store.  The streaming anchored rung passes it: both contexts
-        change on every tick, so the probe can never hit, and computing
-        the two content tokens just to build its key costs more than the
-        whole reduction.
+        and store — and so does a disabled LRU (``reduction_cache_size=0``).
+        The streaming anchored rung passes it: both contexts change on
+        every tick, so the probe can never hit, and computing the two
+        content tokens just to build its key costs more than the whole
+        reduction.
         """
+        use_cache = use_cache and self._reduction_cache_size > 0
         if use_cache:
             key = (own.content_token, other.content_token)
             hit = self._reductions.get(key)
@@ -323,7 +325,7 @@ class RupsEngine:
         chosen = common[top]
         own_r = own_c.select_channels(chosen)
         other_r = other_c.select_channels(chosen)
-        if use_cache and self._reduction_cache_size > 0:
+        if use_cache:
             self._reductions[key] = (own_r, other_r)
             while len(self._reductions) > self._reduction_cache_size:
                 self._reductions.popitem(last=False)

@@ -11,7 +11,7 @@ a SYN point."
 Complexity is the paper's O(m * w * k) per window sweep (m context
 length, w window length, k channels).  Every search — one pair or a
 campaign chunk, full or anchored on a prior lock — runs through one
-sweep, :func:`_match_windows_many`, on the fused kernel of
+sweep, :func:`_match_windows_many`, on the fused sweep of
 :mod:`repro.core.correlation`.
 
 Extensions implemented alongside the baseline search:
@@ -37,7 +37,7 @@ from repro.core.correlation import (
     SlidingWindowStats,
     correlation_matrix,
     fused_sweep_many,
-    reference_sliding_correlation,
+    normalized_window_features,
     trajectory_correlation_rows,
 )
 from repro.core.trajectory import GsmTrajectory
@@ -199,8 +199,8 @@ def _rescore_winners(
     order, and :func:`trajectory_correlation` is bitwise-symmetric in
     its arguments — so re-scoring every winner with the pairwise
     reference scorer keeps side ties exact (a mirror-symmetric match
-    scores identically from either side) where the batched matmuls'
-    accumulated rounding would perturb them.
+    scores identically from either side) where the sweep's matmul
+    rounding would perturb them.
     """
     if not valid:
         return
@@ -226,7 +226,6 @@ def _rescore_winners(
 
 def _match_windows_many(
     requests: list[tuple[GsmTrajectory, list[int], GsmTrajectory, int, int]],
-    kernel: str,
 ) -> list[list[tuple[float, int] | None]]:
     """Best eq.-2 score of each query window slid over its target — the
     one SYN sweep every search runs through.
@@ -243,93 +242,53 @@ def _match_windows_many(
     :func:`_rescore_winners`), so a suffix that contains the full
     sweep's winner returns the same match.
 
-    ``kernel="fused"`` (production) feeds every request to one
+    Every request goes to one
     :func:`~repro.core.correlation.fused_sweep_many` call over the
     target's sliding statistics — memoised on the target for a full
     sweep, built from the suffix alone (O(n * suffix)) for an anchored
-    one — and never materialises the feature tensor.  Targets dominated
-    by degenerate windows fall back to the ``batched`` path, which
-    stacks requests sharing a target, window and floor into one
-    correlation-matrix product over memoised window features.
-    ``kernel="reference"`` slides each window with the per-position
-    loop.
+    one.  A target (or suffix) dominated by degenerate windows is
+    scored by the feature-matrix product instead, built for that
+    request and not kept.
     """
     results: list[list[tuple[float, int] | None]] = [
         [None] * len(ends) for (_, ends, _, _, _) in requests
     ]
-    plans: list[tuple[int, list[int], np.ndarray, int]] = []
+    sweeps = []
     for idx, (query, ends, target, w, min_pos) in enumerate(requests):
         if target.n_marks < w:
             continue
         valid = [
             i for i, end in enumerate(ends) if end - w + 1 >= 0 and end < query.n_marks
         ]
-        if valid:
-            starts = np.array([ends[i] - w + 1 for i in valid], dtype=np.intp)
-            p0 = min(max(int(min_pos), 0), target.n_marks - w)
-            plans.append((idx, valid, starts, p0))
-
-    def finish(idx: int, valid: list[int], best: np.ndarray) -> None:
-        query, ends, target, w, _ = requests[idx]
-        _rescore_winners(query, ends, target, w, valid, best, results[idx])
-
-    if kernel == "reference":
-        for idx, valid, starts, p0 in plans:
-            query, _, target, w, _ = requests[idx]
-            for i, start in zip(valid, starts):
-                scores = reference_sliding_correlation(
-                    query.power_dbm[:, start : start + w],
-                    target.power_dbm[:, p0:],
-                )
-                best = int(np.argmax(scores))
-                results[idx][i] = (float(scores[best]), p0 + best + w - 1)
-        return results
-
-    fused_plans = []
-    batched_plans = []
-    for idx, valid, starts, p0 in plans:
-        _, _, target, w, _ = requests[idx]
-        if kernel == "fused":
-            stats = (
-                target.sliding_stats(w)
-                if p0 == 0
-                else SlidingWindowStats(target.power_dbm[:, p0:], w)
-            )
-            if stats.suspect_fraction <= _SUSPECT_FRACTION_LIMIT:
-                fused_plans.append((idx, valid, starts, p0, stats))
-                continue
-        batched_plans.append((idx, valid, starts, p0))
-
-    if fused_plans:
-        sweeps = [
-            (requests[idx][0].power_dbm, starts, stats)
-            for idx, _, starts, _, stats in fused_plans
-        ]
-        for (idx, valid, _, p0, _), scores in zip(
-            fused_plans, fused_sweep_many(sweeps)
-        ):
-            finish(idx, valid, np.argmax(scores, axis=1) + p0)
-
-    groups: dict[tuple[int, int, int], list] = {}
-    for idx, valid, starts, p0 in batched_plans:
-        _, _, target, w, _ = requests[idx]
-        groups.setdefault((id(target), w, p0), []).append((idx, valid, starts))
-    for (_, w, p0), members in groups.items():
-        target = requests[members[0][0]][2]
-        scores = correlation_matrix(
-            np.vstack(
-                [
-                    requests[idx][0].window_features(w)[starts]
-                    for idx, _, starts in members
-                ]
-            ),
-            target.window_features(w)[p0:],
+        if not valid:
+            continue
+        starts = np.array([ends[i] - w + 1 for i in valid], dtype=np.intp)
+        p0 = min(max(int(min_pos), 0), target.n_marks - w)
+        stats = (
+            target.sliding_stats(w)
+            if p0 == 0
+            else SlidingWindowStats(target.power_dbm[:, p0:], w)
         )
-        row = 0
-        for idx, valid, _ in members:
-            best = np.argmax(scores[row : row + len(valid)], axis=1) + p0
-            row += len(valid)
-            finish(idx, valid, best)
+        if stats.suspect_fraction <= _SUSPECT_FRACTION_LIMIT:
+            sweeps.append((idx, valid, starts, p0, stats))
+            continue
+        scores = correlation_matrix(
+            normalized_window_features(query.power_dbm, w)[starts],
+            normalized_window_features(target.power_dbm[:, p0:], w),
+        )
+        best = np.argmax(scores, axis=1) + p0
+        _rescore_winners(*requests[idx][:4], valid, best, results[idx])
+
+    if sweeps:
+        scored = fused_sweep_many(
+            [
+                (requests[idx][0].power_dbm, starts, stats)
+                for idx, _, starts, _, stats in sweeps
+            ]
+        )
+        for (idx, valid, _, p0, _), scores in zip(sweeps, scored):
+            best = np.argmax(scores, axis=1) + p0
+            _rescore_winners(*requests[idx][:4], valid, best, results[idx])
     return results
 
 
@@ -507,7 +466,7 @@ def find_syn_points_batch(
     """:func:`find_syn_points` for many ``(own, other)`` pairs at once.
 
     All pairs' sweep requests — both query sides, every staggered offset
-    — feed the cross-pair kernel (:func:`_match_windows_many`) together,
+    — feed the cross-pair sweep (:func:`_match_windows_many`) together,
     so a campaign chunk or an all-pairs convoy scan costs a handful of
     block matmuls instead of two per pair.  Per pair the accepted SYN
     points, counters, and provenance events are exactly those of the
@@ -582,7 +541,7 @@ def find_syn_points_batch(
 
     # Phase B: one cross-pair sweep, then per-pair assembly + acceptance.
     with trace("syn.sweep"):
-        matches = _match_windows_many(requests, config.kernel)
+        matches = _match_windows_many(requests)
     out: list[list[SynPoint]] = []
     for (own, other), query_id, anchor, meta in zip(pairs, ids, pair_anchors, metas):
         if meta is None:

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.binding import bind_scan
 from repro.core.config import RupsConfig
 from repro.core.engine import RupsEngine, RupsEstimate
 from repro.core.syn import SynPoint
 from repro.core.trajectory import GsmTrajectory, TrajectoryBuilder
-from repro.gsm.scanner import ScanStream, concat_streams
+from repro.gsm.scanner import ScanStream
 from repro.obs.events import emit
 from repro.obs.logconfig import get_logger
 from repro.obs.metrics import inc
@@ -131,13 +130,6 @@ class RupsTracker:
         Backwards guard band of the anchored sweep [m]: window positions
         up to this far before the last lock are still scanned, absorbing
         mark-scale lock jitter and odometry drift.
-    stream_rebuild:
-        Diagnostic mode for :meth:`stream_update`: instead of folding
-        chunks into a :class:`~repro.core.trajectory.TrajectoryBuilder`,
-        re-bind the concatenation of every chunk so far on each update
-        (the pre-streaming batch shape).  Decision rules are identical,
-        so the two modes must produce bit-identical update sequences —
-        the differential suite's lever, and the benchmark's baseline.
     """
 
     def __init__(
@@ -148,7 +140,6 @@ class RupsTracker:
         staleness_budget_s: float = 2.0,
         anchored_search: bool = True,
         anchor_guard_m: float = 50.0,
-        stream_rebuild: bool = False,
     ) -> None:
         self.config = config or RupsConfig()
         if locked_context_m < self.config.window_length_m:
@@ -166,7 +157,6 @@ class RupsTracker:
         self.staleness_budget_s = float(staleness_budget_s)
         self.anchored_search = bool(anchored_search)
         self.anchor_guard_m = float(anchor_guard_m)
-        self.stream_rebuild = bool(stream_rebuild)
         self._engine = RupsEngine(self.config)
         self._locked = False
         self._failures = 0
@@ -177,7 +167,6 @@ class RupsTracker:
         self._last_context: GsmTrajectory | None = None
         self._anchor: SynPoint | None = None
         self._builder: TrajectoryBuilder | None = None
-        self._chunks: list[ScanStream] = []
 
     @property
     def locked(self) -> bool:
@@ -199,8 +188,8 @@ class RupsTracker:
     def reset(self) -> None:
         """Drop the lock and history (new neighbour).
 
-        The own-vehicle streaming state (builder / accumulated chunks)
-        survives: it describes this vehicle's drive, not the neighbour.
+        The own-vehicle streaming state (the builder) survives: it
+        describes this vehicle's drive, not the neighbour.
         """
         self._locked = False
         self._failures = 0
@@ -261,24 +250,13 @@ class RupsTracker:
         ctx = self.config.context_length_m
         if ctx is None:
             raise ValueError("stream_update requires a bounded context_length_m")
-        if self.stream_rebuild:
-            self._chunks.append(chunk)
-            with trace("tracker.stream_bind"):
-                own = bind_scan(
-                    concat_streams(self._chunks),
-                    track,
-                    at_time_s=at_time_s,
-                    context_length_m=ctx,
-                    spacing_m=self.config.spacing_m,
-                )
-        else:
-            if self._builder is None:
-                self._builder = TrajectoryBuilder(
-                    spacing_m=self.config.spacing_m, context_length_m=ctx
-                )
-            with trace("tracker.stream_bind"):
-                self._builder.append(chunk, track)
-                own = self._builder.trajectory(at_time_s=at_time_s)
+        if self._builder is None:
+            self._builder = TrajectoryBuilder(
+                spacing_m=self.config.spacing_m, context_length_m=ctx
+            )
+        with trace("tracker.stream_bind"):
+            self._builder.append(chunk, track)
+            own = self._builder.trajectory(at_time_s=at_time_s)
         return self._run_update(
             own, other, context_age_s, anchored=self.anchored_search
         )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.correlation import SlidingWindowStats, normalized_window_features
+from repro.core.correlation import SlidingWindowStats
 
 __all__ = [
     "GeoTrajectory",
@@ -165,11 +165,9 @@ class GsmTrajectory:
             raise ValueError("duplicate channel ids")
         object.__setattr__(self, "power_dbm", p)
         object.__setattr__(self, "channel_ids", c)
-        # Lazy per-window-size caches of normalised window features (the
-        # batched SYN kernel) and sliding window statistics (the fused
-        # kernel); not part of the dataclass value (the power matrix
-        # fully determines both).
-        object.__setattr__(self, "_window_features", {})
+        # Lazy per-window-size cache of the SYN sweep's sliding window
+        # statistics; not part of the dataclass value (the power matrix
+        # fully determines it).
         object.__setattr__(self, "_sliding_stats", {})
         object.__setattr__(self, "_content_token", None)
 
@@ -203,7 +201,7 @@ class GsmTrajectory:
         shared-statics store.  Caches that key on the token therefore
         stay warm across process boundaries and campaign re-runs, where
         identity keys would miss forever (identity is still what keeps
-        the per-window feature memos safe: those live on the object).
+        the sliding-statistics memo safe: it lives on the object).
         """
         token = self._content_token  # type: ignore[attr-defined]
         if token is None:
@@ -278,31 +276,12 @@ class GsmTrajectory:
         """Channel ids present in both trajectories (sorted)."""
         return np.intersect1d(self.channel_ids, other.channel_ids)
 
-    def window_features(self, window_marks: int) -> np.ndarray:
-        """Normalised window features for the batched SYN kernel, memoised.
-
-        The ``(n_positions, n_channels * w + n_channels)`` matrix of
-        :func:`~repro.core.correlation.normalized_window_features`, built
-        once per window size and cached on this (immutable) trajectory.
-        Only the ``batched`` oracle kernel and the fused kernel's
-        degenerate-target fallback read it; production sweeps never
-        build it.  Treat the returned array as read-only.
-        """
-        key = int(window_marks)
-        cache: dict[int, np.ndarray] = self._window_features  # type: ignore[attr-defined]
-        features = cache.get(key)
-        if features is None:
-            features = normalized_window_features(self.power_dbm, key)
-            cache[key] = features
-        return features
-
     def sliding_stats(self, window_marks: int) -> SlidingWindowStats:
-        """Sliding window statistics for the fused SYN kernel, memoised.
+        """Sliding window statistics for the SYN sweep, memoised.
 
-        O(n_channels * n_positions) per window size — far lighter than
-        the batched kernel's feature tensor — and cached on this
-        (immutable) trajectory exactly like :meth:`window_features`.
-        Treat the returned object as read-only.
+        O(n_channels * n_positions) per window size, built once and
+        cached on this (immutable) trajectory.  Treat the returned
+        object as read-only.
         """
         key = int(window_marks)
         cache: dict[int, SlidingWindowStats] = self._sliding_stats  # type: ignore[attr-defined]
@@ -336,8 +315,8 @@ class TrajectoryBuilder:
     locked-context builds warms both.
 
     :meth:`append` validates before it commits: a rejected chunk leaves
-    the builder — binding state, stream token, measurement count, served
-    trajectory — exactly as it was.
+    the builder — binding state, measurement count, served trajectory —
+    exactly as it was.
 
     Parameters
     ----------
@@ -369,7 +348,6 @@ class TrajectoryBuilder:
         self.context_length_m = float(context_length_m)
         self.interpolate = bool(interpolate)
         self._index = None  # DriveBindingIndex, created on first append
-        self._hash = hashlib.sha256()
         self._n_measurements = 0
         # Per-context-length serve chains: length key -> last served
         # (interpolated) window and its raw (uninterpolated) twin, the
@@ -381,20 +359,6 @@ class TrajectoryBuilder:
     def n_measurements(self) -> int:
         """Total measurements ingested so far."""
         return self._n_measurements
-
-    @property
-    def content_token(self) -> str:
-        """Hex digest of the ingested stream, updated in O(appended).
-
-        A chained SHA-256 over every appended chunk's bytes: two
-        builders fed the same measurements — however raggedly chunked —
-        share a token.  This identifies the *stream prefix* the builder
-        has seen; it is intentionally not the served trajectory's
-        :attr:`GsmTrajectory.content_token` (a sliding window cannot
-        have a prefix-chained digest — evicted marks would have to be
-        un-hashed).
-        """
-        return self._hash.copy().hexdigest()
 
     def append(self, chunk, track) -> None:
         """Fold a new scan chunk into the builder.
@@ -428,15 +392,6 @@ class TrajectoryBuilder:
         else:
             # extend() checks everything before it mutates anything.
             self._index.extend(chunk, track)
-        # Hash one fixed-width record per measurement so the digest
-        # depends only on the measurement sequence, not on how it was
-        # cut into chunks (per-array hashing would interleave bytes
-        # differently for different chunkings).
-        records = np.empty((len(chunk), 3), dtype=np.float64)
-        records[:, 0] = chunk.times_s
-        records[:, 1] = chunk.channel_indices
-        records[:, 2] = chunk.rssi_dbm
-        self._hash.update(records.tobytes())
         self._n_measurements += len(chunk)
 
     def trajectory(

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.correlation import (
-    DEFAULT_KERNEL,
-    correlation_matrix,
-    normalized_window_features,
+    SlidingWindowStats,
+    fused_sweep,
+    reference_sliding_correlation,
     sliding_trajectory_correlation,
 )
 from repro.experiments.reporting import render_table
@@ -56,7 +56,6 @@ def syn_search_seconds(
     k_channels: int = 45,
     repeats: int = 20,
     seed: int = 0,
-    kernel: str = DEFAULT_KERNEL,
 ) -> float:
     """Wall-clock seconds for one full sliding SYN search (best of N).
 
@@ -68,20 +67,21 @@ def syn_search_seconds(
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        sliding_trajectory_correlation(query, target, kernel=kernel)
+        sliding_trajectory_correlation(query, target)
         best = min(best, time.perf_counter() - start)
     return best
 
 
 @dataclass
 class KernelComparisonResult:
-    """Reference-loop vs batched-matmul SYN search across context lengths.
+    """Reference loop vs the production sweep across context lengths.
 
     ``rows``: one entry per context length ``(m, reference_s,
-    batched_cold_s, batched_warm_s)``; cold includes building the
-    target's normalised window features, warm reuses them — the regime
-    of the double-sliding multi-SYN search and of locked tracking
-    sessions, where the features are memoised per trajectory.
+    fused_cold_s, fused_warm_s)``; cold includes building the target's
+    :class:`~repro.core.correlation.SlidingWindowStats`, warm reuses
+    them — the regime of the multi-SYN search and of repeat queries,
+    where the statistics are memoised per trajectory
+    (:meth:`~repro.core.trajectory.GsmTrajectory.sliding_stats`).
     """
 
     rows: list[tuple[int, float, float, float]]
@@ -104,16 +104,16 @@ class KernelComparisonResult:
             [
                 "m (marks)",
                 "reference (ms)",
-                "batched cold (ms)",
-                "batched warm (ms)",
+                "fused cold (ms)",
+                "fused warm (ms)",
                 "speedup cold",
                 "speedup warm",
             ],
             table,
             title=(
-                "SYN sliding search — reference loop vs batched matmul "
+                "SYN sliding search — reference loop vs fused sweep "
                 f"(w={self.w_marks}, k={self.k_channels}; warm = memoised "
-                "window features, the tracking/multi-SYN regime)"
+                "sliding statistics, the multi-SYN/repeat-query regime)"
             ),
         )
 
@@ -125,23 +125,22 @@ def kernel_comparison_sweep(
     repeats: int = 5,
     seed: int = 0,
 ) -> KernelComparisonResult:
-    """Time both kernels over a range of journey-context lengths."""
+    """Time the reference loop and the sweep over journey-context lengths."""
     rows = []
+    starts = np.array([0], dtype=np.intp)
     for m in m_marks:
         query, target = _search_inputs(m, w_marks, k_channels, seed)
         ref = min(
-            _timed(sliding_trajectory_correlation, query, target, kernel="reference")
+            _timed(reference_sliding_correlation, query, target)
             for _ in range(max(2, repeats // 2))
         )
         cold = min(
-            _timed(sliding_trajectory_correlation, query, target, kernel="batched")
+            _timed(sliding_trajectory_correlation, query, target)
             for _ in range(repeats)
         )
-        features = normalized_window_features(target, w_marks)
-        query_features = normalized_window_features(query, w_marks)
+        stats = SlidingWindowStats(target, w_marks)
         warm = min(
-            _timed(correlation_matrix, query_features, features)
-            for _ in range(repeats * 4)
+            _timed(fused_sweep, query, starts, stats) for _ in range(repeats * 4)
         )
         rows.append((m, ref, cold, warm))
     return KernelComparisonResult(rows=rows, w_marks=w_marks, k_channels=k_channels)

@@ -209,6 +209,16 @@ class TestEngineReductionLru:
         engine._reduce_channels(a, b)
         assert len(engine._reductions) == 0
 
+    def test_disabled_cache_hashes_nothing(self, scan_and_track):
+        """With no LRU to probe, no estimate computes a content token."""
+        engine = RupsEngine(
+            RupsConfig(context_length_m=300.0), reduction_cache_size=0
+        )
+        a, b, _ = self._trajectories(scan_and_track, engine)
+        engine.estimate_relative_distance(a, b)
+        assert a._content_token is None and b._content_token is None
+        assert len(engine._reductions) == 0
+
     def test_negative_cache_size_rejected(self):
         with pytest.raises(ValueError):
             RupsEngine(trajectory_cache_size=-1)

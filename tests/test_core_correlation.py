@@ -6,10 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.correlation import (
+    reference_sliding_correlation,
     sliding_trajectory_correlation,
     trajectory_correlation,
 )
 from repro.core.power_vector import pearson_correlation
+from tests.oracles import feature_product_sweep
+
+#: The reference loop, the feature-matrix product the sweep falls back to
+#: on degenerate-dominated targets, and the production sweep.
+SWEEPS = {
+    "reference": reference_sliding_correlation,
+    "batched": feature_product_sweep,
+    "fused": sliding_trajectory_correlation,
+}
 
 
 def random_traj(n_ch, n_marks, seed=0, mean=-80.0):
@@ -134,7 +144,8 @@ class TestDegenerateWindows:
 
     A window with no spatial information must contribute exactly 0 —
     never a NaN, inf, or numpy warning that could leak into SYN
-    acceptance — under every kernel.
+    acceptance — in the production sweep, its fallback and the
+    reference loop alike.
     """
 
     def test_both_sides_constant_is_zero(self):
@@ -160,10 +171,10 @@ class TestDegenerateWindows:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             r = trajectory_correlation(a, b)
-            s_ref = sliding_trajectory_correlation(a, b, kernel="reference")
-            s_bat = sliding_trajectory_correlation(a, b, kernel="batched")
+            scores = {name: sweep(a, b) for name, sweep in SWEEPS.items()}
         assert np.isfinite(r)
-        assert np.isfinite(s_ref).all() and np.isfinite(s_bat).all()
+        for name, s in scores.items():
+            assert np.isfinite(s).all(), name
 
     def test_nan_channel_gated_like_dead_channel(self):
         rng = np.random.default_rng(2)
@@ -182,27 +193,27 @@ class TestDegenerateWindows:
             expected, abs=1e-12
         )
 
-    @pytest.mark.parametrize("kernel", ["reference", "batched"])
-    def test_nan_gap_only_poisons_covering_windows(self, kernel):
+    @pytest.mark.parametrize("sweep", sorted(SWEEPS))
+    def test_nan_gap_only_poisons_covering_windows(self, sweep):
         # Regression for the historical cumulative-sum kernel, where one
         # NaN smeared into the running sums of *every* later position.
         rng = np.random.default_rng(3)
         target = rng.normal(-80, 6, size=(3, 60))
         target[1, 20:23] = np.nan
         query = rng.normal(-80, 6, size=(3, 10))
-        scores = sliding_trajectory_correlation(query, target, kernel=kernel)
+        scores = SWEEPS[sweep](query, target)
         assert np.isfinite(scores).all()
         for p in range(scores.size):
             direct = trajectory_correlation(query, target[:, p : p + 10])
             assert scores[p] == pytest.approx(direct, abs=1e-9)
 
-    @pytest.mark.parametrize("kernel", ["reference", "batched"])
-    def test_constant_stretch_scores_defined(self, kernel):
+    @pytest.mark.parametrize("sweep", sorted(SWEEPS))
+    def test_constant_stretch_scores_defined(self, sweep):
         rng = np.random.default_rng(4)
         target = rng.normal(-80, 6, size=(3, 60))
         target[:, 25:45] = -80.0  # zero-variance stretch
         query = rng.normal(-80, 6, size=(3, 12))
-        scores = sliding_trajectory_correlation(query, target, kernel=kernel)
+        scores = SWEEPS[sweep](query, target)
         assert np.isfinite(scores).all()
         # Windows fully inside the stretch carry no information at all.
         assert scores[30] == pytest.approx(0.0, abs=1e-12)

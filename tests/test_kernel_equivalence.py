@@ -1,22 +1,23 @@
-"""Differential harness: the fast SYN kernels vs the reference loop.
+"""Differential harness: the fused SYN sweep vs the reference loop.
 
-The batched matmul kernel and the fused prefix-sum kernel
-(``repro.core.correlation``) are only safe to ship because this harness
-proves them equivalent to the per-window reference loop on randomised
-inputs.  Two layers:
+The fused prefix-sum sweep (``repro.core.correlation``) is only safe to
+ship because this harness proves it equivalent to the per-window
+reference loop on randomised inputs.  The oracles live in
+``tests/oracles.py``; production code has no switch to reach them.
 
-* **Kernel level** — ``batched_sliding_correlation`` and
-  ``fused_sliding_correlation`` against
+* **Sweep level** — ``sliding_trajectory_correlation`` and the
+  feature-matrix product of its degenerate-target fallback against
   ``reference_sliding_correlation`` on random query/target matrices,
   including constant channels, constant regions, and NaN gaps.
 * **Search level** — ``seek_syn_point`` / ``find_syn_points`` run once
-  per ``RupsConfig(kernel=...)``, and every fast kernel must return
-  identical SYN indices (exact), scores within 1e-9, and identical
-  ``None``/rejection outcomes to the reference.
+  in production and once with the reference loop swapped in for the
+  sweep (``reference_search``); production must return identical SYN
+  indices (exact), scores within 1e-9, and identical
+  ``None``/rejection outcomes.
 * **Suffix sweeps** — the anchored streaming rung's ``min_target_pos``
-  floors, in every kernel, against the reference loop over the same
-  clamped suffix: mixed anchored/full batches, floors past the last
-  position, and degenerate suffixes that take the fused fallback.
+  floors against the reference loop over the same clamped suffix:
+  mixed anchored/full batches, floors past the last position, and
+  degenerate targets and suffixes that take the fallback.
 
 Scenarios rotate through genuine overlaps (a shared road signal plus
 per-vehicle noise), disjoint signals (mostly rejections), degenerate
@@ -31,14 +32,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import syn
 from repro.core.config import RupsConfig
 from repro.core.correlation import (
     _SUSPECT_FRACTION_LIMIT,
-    KERNELS,
     SlidingWindowStats,
-    batched_sliding_correlation,
-    fused_sliding_correlation,
+    correlation_matrix,
     reference_sliding_correlation,
+    sliding_trajectory_correlation,
 )
 from repro.core.syn import (
     SynPoint,
@@ -49,9 +50,13 @@ from repro.core.syn import (
     seek_syn_point,
 )
 from repro.core.trajectory import GeoTrajectory, GsmTrajectory
+from tests.oracles import (
+    feature_product_sweep,
+    reference_search,
+    reference_suffix_matches,
+)
 
 TOL = 1e-9
-FAST_KERNELS = sorted(set(KERNELS) - {"reference"})
 
 
 # ----------------------------------------------------------------------
@@ -84,7 +89,7 @@ def _road_signal(rng: np.random.Generator, n_ch: int, length: int) -> np.ndarray
 
 
 def random_scenario(seed: int):
-    """One (own, other, config-sans-kernel) scenario, seed-deterministic."""
+    """One (own, other, config kwargs) scenario, seed-deterministic."""
     rng = np.random.default_rng(seed)
     kind = ("overlap", "disjoint", "degenerate", "short")[seed % 4]
     n_ch = int(rng.integers(3, 10))
@@ -150,21 +155,20 @@ def random_scenario(seed: int):
 # ----------------------------------------------------------------------
 
 def assert_search_equivalent(own, other, cfg: dict) -> None:
-    ref_cfg = RupsConfig(kernel="reference", **cfg)
-    ref_single = seek_syn_point(own, other, ref_cfg)
-    ref_multi = find_syn_points(own, other, ref_cfg)
+    config = RupsConfig(**cfg)
+    with reference_search():
+        ref_single = seek_syn_point(own, other, config)
+        ref_multi = find_syn_points(own, other, config)
 
-    for kernel in FAST_KERNELS:
-        fast_cfg = RupsConfig(kernel=kernel, **cfg)
-        fast_single = seek_syn_point(own, other, fast_cfg)
-        assert (ref_single is None) == (fast_single is None), kernel
-        if ref_single is not None:
-            _assert_same_syn(ref_single, fast_single)
+    fast_single = seek_syn_point(own, other, config)
+    assert (ref_single is None) == (fast_single is None)
+    if ref_single is not None:
+        _assert_same_syn(ref_single, fast_single)
 
-        fast_multi = find_syn_points(own, other, fast_cfg)
-        assert len(ref_multi) == len(fast_multi), kernel
-        for r, b in zip(ref_multi, fast_multi):
-            _assert_same_syn(r, b)
+    fast_multi = find_syn_points(own, other, config)
+    assert len(ref_multi) == len(fast_multi)
+    for r, b in zip(ref_multi, fast_multi):
+        _assert_same_syn(r, b)
 
 
 def _assert_same_syn(r, b) -> None:
@@ -177,19 +181,21 @@ def _assert_same_syn(r, b) -> None:
 
 
 # ----------------------------------------------------------------------
-# kernel-level differential
+# sweep-level differential
 # ----------------------------------------------------------------------
 
+#: The production sweep and the arithmetic of its degenerate-target
+#: fallback (the one product of window feature rows).
 _FAST_FNS = {
-    "batched": batched_sliding_correlation,
-    "fused": fused_sliding_correlation,
+    "batched": feature_product_sweep,
+    "fused": sliding_trajectory_correlation,
 }
 
 
 class TestSlidingKernelDifferential:
-    @pytest.mark.parametrize("kernel", sorted(_FAST_FNS))
+    @pytest.mark.parametrize("sweep", sorted(_FAST_FNS))
     @pytest.mark.parametrize("seed", range(40))
-    def test_random_inputs_agree(self, seed, kernel):
+    def test_random_inputs_agree(self, seed, sweep):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 12))
         m = int(rng.integers(5, 150))
@@ -204,27 +210,27 @@ class TestSlidingKernelDifferential:
         if seed % 4 == 3:  # NaN gaps
             target[rng.random(target.shape) < 0.02] = np.nan
         ref = reference_sliding_correlation(query, target)
-        fast = _FAST_FNS[kernel](query, target)
+        fast = _FAST_FNS[sweep](query, target)
         assert ref.shape == fast.shape == (m - w + 1,)
         assert np.isfinite(fast).all()
         np.testing.assert_allclose(fast, ref, rtol=0.0, atol=TOL)
 
-    @pytest.mark.parametrize("kernel", sorted(_FAST_FNS))
-    def test_constant_everything(self, kernel):
+    @pytest.mark.parametrize("sweep", sorted(_FAST_FNS))
+    def test_constant_everything(self, sweep):
         query = np.full((4, 12), -80.0)
         target = np.full((4, 40), -80.0)
         ref = reference_sliding_correlation(query, target)
-        fast = _FAST_FNS[kernel](query, target)
+        fast = _FAST_FNS[sweep](query, target)
         assert np.all(ref == 0.0)
         assert np.all(fast == 0.0)
 
-    @pytest.mark.parametrize("kernel", sorted(_FAST_FNS))
-    def test_argmax_identical_on_true_overlap(self, kernel):
+    @pytest.mark.parametrize("sweep", sorted(_FAST_FNS))
+    def test_argmax_identical_on_true_overlap(self, sweep):
         rng = np.random.default_rng(7)
         target = _road_signal(rng, 8, 300)
         query = target[:, 150:200] + rng.normal(0, 0.5, size=(8, 50))
         ref = reference_sliding_correlation(query, target)
-        fast = _FAST_FNS[kernel](query, target)
+        fast = _FAST_FNS[sweep](query, target)
         assert int(np.argmax(ref)) == int(np.argmax(fast)) == 150
 
 
@@ -245,17 +251,32 @@ class TestSearchDifferentialQuick:
         other = make_trajectory(road[:, 50:330] + rng.normal(0, 0.8, (8, 280)))
         cfg = dict(window_length_m=30.0, window_channels=8, spacing_m=1.0)
         assert_search_equivalent(own, other, cfg)
-        syn = seek_syn_point(own, other, RupsConfig(kernel="batched", **cfg))
-        assert syn is not None
+        syn_point = seek_syn_point(own, other, RupsConfig(**cfg))
+        assert syn_point is not None
 
     def test_no_overlap_rejected_by_both(self):
         rng = np.random.default_rng(321)
         own = make_trajectory(_road_signal(rng, 6, 200))
         other = make_trajectory(_road_signal(rng, 6, 200))
-        cfg = dict(window_length_m=30.0, window_channels=6, spacing_m=1.0)
-        ref = seek_syn_point(own, other, RupsConfig(kernel="reference", **cfg))
-        bat = seek_syn_point(own, other, RupsConfig(kernel="batched", **cfg))
-        assert (ref is None) == (bat is None)
+        config = RupsConfig(window_length_m=30.0, window_channels=6, spacing_m=1.0)
+        with reference_search():
+            ref = seek_syn_point(own, other, config)
+        fast = seek_syn_point(own, other, config)
+        assert (ref is None) == (fast is None)
+
+    def test_oracle_bypasses_the_sweep(self, monkeypatch):
+        """Inside ``reference_search`` no search reaches the fused sweep,
+        so the differentials above really compare two implementations."""
+        own, other, cfg = random_scenario(0)
+
+        def unreachable(_):
+            raise AssertionError("production sweep ran under the oracle")
+
+        monkeypatch.setattr(syn, "fused_sweep_many", unreachable)
+        with reference_search():
+            find_syn_points(own, other, RupsConfig(**cfg))
+        with pytest.raises(AssertionError, match="production sweep"):
+            find_syn_points(own, other, RupsConfig(**cfg))
 
 
 @pytest.mark.slow
@@ -278,8 +299,8 @@ def random_pair_batch(seed: int, n_pairs: int):
     The mix rotates per pair through genuine overlaps, disjoint signals,
     too-short contexts (pairs that contribute *no* sweep to the batch),
     degenerate constant/NaN windows, and convoy pairs that share one
-    target trajectory *object* — the case where the batched kernel
-    actually stacks several pairs into one matmul.
+    target trajectory *object* — the case where the sweep actually
+    stacks several pairs into one matmul.
     """
     rng = np.random.default_rng(1_000_000 + seed)
     n_ch = int(rng.integers(3, 8))
@@ -336,8 +357,8 @@ def random_pair_batch(seed: int, n_pairs: int):
                 own_p[rng.random(own_p.shape) < 0.01] = np.nan
         own = make_trajectory(own_p, spacing)
         if kind == "convoy":
-            # Several pairs share this one target object: the batched
-            # kernel groups them into a single stacked matmul.
+            # Several pairs share this one target object: the sweep
+            # groups them into a single stacked matmul.
             pairs.append((own, convoy_head))
             continue
         lb = int(rng.integers(60, road_len + 1))
@@ -349,16 +370,15 @@ def random_pair_batch(seed: int, n_pairs: int):
 
 def assert_batch_equivalent(pairs, cfg: dict) -> None:
     """`find_syn_points_batch` must match per-pair reference searches."""
-    ref_cfg = RupsConfig(kernel="reference", **cfg)
-    expected = [find_syn_points(own, other, ref_cfg) for own, other in pairs]
-    for kernel in FAST_KERNELS:
-        fast_cfg = RupsConfig(kernel=kernel, **cfg)
-        got = find_syn_points_batch(pairs, fast_cfg)
-        assert len(got) == len(expected)
-        for exp, out in zip(expected, got):
-            assert len(exp) == len(out), kernel
-            for r, b in zip(exp, out):
-                _assert_same_syn(r, b)
+    config = RupsConfig(**cfg)
+    with reference_search():
+        expected = [find_syn_points(own, other, config) for own, other in pairs]
+    got = find_syn_points_batch(pairs, config)
+    assert len(got) == len(expected)
+    for exp, out in zip(expected, got):
+        assert len(exp) == len(out)
+        for r, b in zip(exp, out):
+            _assert_same_syn(r, b)
 
 
 class TestBatchDifferentialQuick:
@@ -371,10 +391,9 @@ class TestBatchDifferentialQuick:
     def test_batch_of_one_equals_per_pair_search(self):
         """Ragged extreme: the chunk holds a single pending query."""
         pairs, cfg = random_pair_batch(100, 1)
-        for kernel in sorted(KERNELS):
-            c = RupsConfig(kernel=kernel, **cfg)
-            (batched,) = find_syn_points_batch(pairs, c)
-            assert batched == find_syn_points(pairs[0][0], pairs[0][1], c)
+        config = RupsConfig(**cfg)
+        (from_batch,) = find_syn_points_batch(pairs, config)
+        assert from_batch == find_syn_points(pairs[0][0], pairs[0][1], config)
 
     def test_all_pairs_windowless(self):
         """A batch with zero pending sweeps (chunk > pending work)."""
@@ -392,9 +411,7 @@ class TestBatchDifferentialQuick:
             )
             for _ in range(3)
         ]
-        for kernel in FAST_KERNELS:
-            out = find_syn_points_batch(pairs, RupsConfig(kernel=kernel, **cfg))
-            assert out == [[], [], []]
+        assert find_syn_points_batch(pairs, RupsConfig(**cfg)) == [[], [], []]
 
     def test_query_ids_length_mismatch_rejected(self):
         pairs, cfg = random_pair_batch(3, 2)
@@ -437,31 +454,11 @@ class TestBatchDifferentialSweep:
 # anchored suffix sweeps (min_target_pos)
 # ----------------------------------------------------------------------
 
-def reference_suffix_matches(request):
-    """The per-window loop over the clamped suffix of one sweep request."""
-    query, ends, target, w, min_pos = request
-    if target.n_marks < w:
-        return [None] * len(ends)
-    p0 = min(max(min_pos, 0), target.n_marks - w)
-    out = []
-    for end in ends:
-        if end - w + 1 < 0 or end >= query.n_marks:
-            out.append(None)
-            continue
-        scores = reference_sliding_correlation(
-            query.power_dbm[:, end - w + 1 : end + 1], target.power_dbm[:, p0:]
-        )
-        best = int(np.argmax(scores))
-        out.append((float(scores[best]), p0 + best + w - 1))
-    return out
-
-
 def assert_suffix_sweeps_match_reference(requests) -> None:
-    """Every kernel's batch sweep == the reference loop over each suffix:
-    same winner end mark, bit-identical (re-scored) winner score."""
+    """The production sweep == the reference loop over each suffix: same
+    winner end mark, bit-identical (re-scored) winner score."""
     expected = [reference_suffix_matches(r) for r in requests]
-    for kernel in sorted(KERNELS):
-        assert _match_windows_many(requests, kernel) == expected, kernel
+    assert _match_windows_many(requests) == expected
 
 
 def _suffix_requests(seed: int):
@@ -502,11 +499,10 @@ class TestSuffixSweepDifferential:
             (own, [own.n_marks - 1], other, w, 10**9),
         ]
         assert_suffix_sweeps_match_reference(requests)
-        for kernel in sorted(KERNELS):
-            for (match,) in _match_windows_many(requests, kernel):
-                assert match[1] == other.n_marks - 1  # the last window
+        for (match,) in _match_windows_many(requests):
+            assert match[1] == other.n_marks - 1  # the last window
 
-    def test_degenerate_suffix_takes_the_fallback(self):
+    def test_degenerate_suffix_takes_the_fallback(self, monkeypatch):
         rng = np.random.default_rng(11)
         road = _road_signal(rng, 6, 260)
         target_p = road[:, :260] + rng.normal(0, 1.0, (6, 260))
@@ -520,10 +516,30 @@ class TestSuffixSweepDifferential:
         assert SlidingWindowStats(target.power_dbm[:, p0:], w).suspect_fraction > (
             _SUSPECT_FRACTION_LIMIT
         ), "fixture: the suffix must be degenerate-dominated"
+        flat_p = target_p.copy()
+        flat_p[:, 90:] = flat_p[:, 90:91]  # constant for the last 170 marks
+        flat = make_trajectory(flat_p)
+        assert SlidingWindowStats(flat.power_dbm, w).suspect_fraction > (
+            _SUSPECT_FRACTION_LIMIT
+        ), "fixture: the whole target must be degenerate-dominated"
+        fallbacks = []
+
+        def counted(features_a, features_b):
+            fallbacks.append(features_b.shape[0])
+            return correlation_matrix(features_a, features_b)
+
+        monkeypatch.setattr(syn, "correlation_matrix", counted)
         ends = [own.n_marks - 1, own.n_marks - 11]
         assert_suffix_sweeps_match_reference(
-            [(own, ends, target, w, p0), (own, ends, target, w, 0)]
+            [
+                (own, ends, target, w, p0),
+                (own, ends, target, w, 0),
+                (own, ends, flat, w, 0),
+            ]
         )
+        # The input picks the fallback: the degenerate suffix and the
+        # degenerate whole target, never the healthy full sweep.
+        assert fallbacks == [target.n_marks - p0 - w + 1, flat.n_marks - w + 1]
 
 
 class TestAnchoredSearchDifferential:
@@ -547,21 +563,19 @@ class TestAnchoredSearchDifferential:
                 )
             )
         assert any(a is not None for a in anchors)
-        ref_cfg = RupsConfig(kernel="reference", **cfg)
-        expected = [
-            find_syn_points(own, other, ref_cfg)
-            if anchor is None
-            else find_syn_points_anchored(own, other, anchor, ref_cfg, guard_m=5.0)
-            for (own, other), anchor in zip(pairs, anchors)
-        ]
-        for kernel in FAST_KERNELS:
-            got = find_syn_points_batch(
-                pairs, RupsConfig(kernel=kernel, **cfg), anchors=anchors, guard_m=5.0
-            )
-            for exp, out in zip(expected, got):
-                assert len(exp) == len(out), kernel
-                for r, b in zip(exp, out):
-                    _assert_same_syn(r, b)
+        config = RupsConfig(**cfg)
+        with reference_search():
+            expected = [
+                find_syn_points(own, other, config)
+                if anchor is None
+                else find_syn_points_anchored(own, other, anchor, config, guard_m=5.0)
+                for (own, other), anchor in zip(pairs, anchors)
+            ]
+        got = find_syn_points_batch(pairs, config, anchors=anchors, guard_m=5.0)
+        for exp, out in zip(expected, got):
+            assert len(exp) == len(out)
+            for r, b in zip(exp, out):
+                _assert_same_syn(r, b)
 
     def test_anchors_length_mismatch_rejected(self):
         pairs, cfg = random_pair_batch(3, 2)

@@ -5,12 +5,15 @@ trajectory container algebra, codec fuzzing, eq.-2 identities, and
 aggregation-scheme invariants.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.correlation import (
+    reference_sliding_correlation,
     sliding_trajectory_correlation,
     trajectory_correlation,
 )
@@ -189,31 +192,38 @@ class TestEq2Identities:
 
 
 class TestSlidingSearchProperties:
-    @given(st.integers(0, 2**31 - 1), st.sampled_from(["reference", "batched"]))
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.sampled_from(
+            [reference_sliding_correlation, sliding_trajectory_correlation]
+        ),
+    )
     @settings(max_examples=30, deadline=None)
-    def test_score_vector_spans_exactly_the_valid_positions(self, seed, kernel):
+    def test_score_vector_spans_exactly_the_valid_positions(self, seed, sweep):
         rng = np.random.default_rng(seed)
         n_ch = int(rng.integers(1, 8))
         m = int(rng.integers(4, 80))
         w = int(rng.integers(2, m + 1))
         target = rng.normal(-80, 6, size=(n_ch, m))
         query = rng.normal(-80, 6, size=(n_ch, w))
-        scores = sliding_trajectory_correlation(query, target, kernel=kernel)
+        scores = sweep(query, target)
         assert scores.shape == (m - w + 1,)
         assert 0 <= int(np.argmax(scores)) <= m - w
         assert np.all(np.isfinite(scores))
 
-    @given(st.integers(0, 2**31 - 1), st.sampled_from(["reference", "batched"]))
+    @given(st.integers(0, 2**31 - 1), st.booleans())
     @settings(max_examples=20, deadline=None)
-    def test_syn_windows_always_inside_both_trajectories(self, seed, kernel):
+    def test_syn_windows_always_inside_both_trajectories(self, seed, oracle):
         from repro.core.config import RupsConfig
         from repro.core.syn import find_syn_points
 
+        from tests.oracles import reference_search
         from tests.test_kernel_equivalence import random_scenario
 
         own, other, cfg = random_scenario(seed)
-        config = RupsConfig(kernel=kernel, **cfg)
-        for syn in find_syn_points(own, other, config):
+        with reference_search() if oracle else nullcontext():
+            syn_points = find_syn_points(own, other, RupsConfig(**cfg))
+        for syn in syn_points:
             for traj, end_distance in (
                 (own, syn.own_distance_m),
                 (other, syn.other_distance_m),

@@ -8,11 +8,12 @@ ragged chunk appends, every incrementally maintained structure is
 * :class:`TrajectoryBuilder` served trajectories (power, geo, content
   token) vs cold builds, across ragged chunk boundaries and truncated
   tracks;
-* the chained builder stream token vs any other chunking of the same
-  measurements, and a rejected append changing nothing at all;
-* :meth:`RupsTracker.stream_update` vs the rebuild-per-update baseline
-  (``stream_rebuild=True``) and, with anchoring off, vs the historical
-  batch :meth:`RupsTracker.update` path;
+* the served window vs any other chunking of the same measurements, and
+  a rejected append changing nothing at all;
+* :meth:`RupsTracker.stream_update` vs a tracker whose builder re-binds
+  every chunk so far on each update (:class:`RebindingBuilder`) and,
+  with anchoring off, vs the historical batch
+  :meth:`RupsTracker.update` path;
 * the trim cache and ``GeoTrajectory`` distance memos that ride along.
 
 Everything asserts exact equality — no tolerances — in the house style
@@ -31,6 +32,7 @@ from repro.core.binding import DriveBindingIndex, bind_scan
 from repro.core.tracking import RupsTracker
 from repro.core.trajectory import GeoTrajectory, TrajectoryBuilder
 from repro.gsm.band import ChannelPlan
+from repro.gsm.scanner import concat_streams
 from repro.sensors.deadreckoning import EstimatedTrack
 
 
@@ -161,7 +163,7 @@ class TestTrajectoryBuilderPrefixEquivalence:
         builder.append(scan.slice(b, b), trk)
         assert builder.trajectory() is first
 
-    def test_chained_token_is_chunking_invariant(self, shared_pair):
+    def test_serve_is_chunking_invariant(self, shared_pair):
         rec = shared_pair.rear
         scan, track = rec.scan, rec.estimated
         trk = _truncate(track, 120.0)
@@ -176,7 +178,7 @@ class TestTrajectoryBuilderPrefixEquivalence:
             prev = cut
         if prev < b:
             many.append(scan.slice(prev, b), trk)
-        assert one.content_token == many.content_token
+        _assert_trajectories_identical(one.trajectory(), many.trajectory())
         assert one.n_measurements == many.n_measurements == b
 
     def test_builder_rejects_off_grid_context(self):
@@ -197,8 +199,8 @@ def _reversed(chunk):
 
 
 class TestBuilderAppendIsAtomic:
-    """A rejected append leaves token, count and served window untouched,
-    and the stream continues as if the bad chunk never arrived."""
+    """A rejected append leaves count and served window untouched, and
+    the stream continues as if the bad chunk never arrived."""
 
     @staticmethod
     def _state(builder):
@@ -206,12 +208,11 @@ class TestBuilderAppendIsAtomic:
             served = builder.trajectory()
         except ValueError:
             served = None
-        return builder.content_token, builder.n_measurements, served
+        return builder.n_measurements, served
 
     @staticmethod
     def _assert_state(builder, state) -> None:
-        token, n_measurements, served = state
-        assert builder.content_token == token
+        n_measurements, served = state
         assert builder.n_measurements == n_measurements
         if served is None:
             with pytest.raises(ValueError, match="no measurements"):
@@ -287,11 +288,43 @@ class TestBuilderAppendIsAtomic:
         self._assert_state(builder, self._state(clean))
 
 
+class RebindingBuilder:
+    """Test double for the tracker's resident builder: every serve
+    re-binds the concatenation of all chunks so far with ``bind_scan``
+    — the cold rebuild the streaming path must match bit for bit."""
+
+    def __init__(self, config: RupsConfig) -> None:
+        self.config = config
+        self.chunks = []
+        self.track = None
+
+    def append(self, chunk, track) -> None:
+        self.chunks.append(chunk)
+        self.track = track
+
+    def trajectory(self, at_time_s=None):
+        return bind_scan(
+            concat_streams(self.chunks),
+            self.track,
+            at_time_s=at_time_s,
+            context_length_m=self.config.context_length_m,
+            spacing_m=self.config.spacing_m,
+        )
+
+
+def _tracker(config: RupsConfig, rebuild: bool = False, **kwargs) -> RupsTracker:
+    """A tracker; with ``rebuild`` its stream is re-bound on every update."""
+    tracker = RupsTracker(config, **kwargs)
+    if rebuild:
+        tracker._builder = RebindingBuilder(config)
+    return tracker
+
+
 class TestTrackerStreaming:
     def _run(self, shared_pair, shared_engine, **tracker_kwargs):
         cfg = RupsConfig(context_length_m=600.0, window_channels=30)
         rear, front = shared_pair.rear, shared_pair.front
-        tracker = RupsTracker(cfg, **tracker_kwargs)
+        tracker = _tracker(cfg, **tracker_kwargs)
         scan, track = rear.scan, rear.estimated
         t0, t1 = shared_pair.query_window(context_length_m=600.0)
         prev_b = 0
@@ -329,7 +362,8 @@ class TestTrackerStreaming:
         self, shared_pair, shared_engine
     ):
         _, incremental = self._run(shared_pair, shared_engine)
-        _, rebuild = self._run(shared_pair, shared_engine, stream_rebuild=True)
+        rebuilt, rebuild = self._run(shared_pair, shared_engine, rebuild=True)
+        assert len(rebuilt._builder.chunks) == len(rebuild)  # the double served
         assert len(incremental) == len(rebuild)
         resolved = 0
         for (a, *_), (b, *_) in zip(incremental, rebuild):
@@ -436,11 +470,9 @@ class TestStreamReset:
         update before and after the reset must stay bit-identical.
         """
 
-        def run(**kwargs):
+        def run(rebuild=False):
             rear, front = shared_pair.rear, shared_pair.front
-            tracker = RupsTracker(
-                self.CFG, anchored_search=anchored_search, **kwargs
-            )
+            tracker = _tracker(self.CFG, rebuild, anchored_search=anchored_search)
             scan, track = rear.scan, rear.estimated
             t0, t1 = shared_pair.query_window(context_length_m=600.0)
             times = [float(t) for t in np.arange(t0, t1, 10.0)]
@@ -458,10 +490,11 @@ class TestStreamReset:
                     front.scan, front.estimated, at_time_s=t
                 )
                 updates.append(tracker.stream_update(chunk, trk, other=other))
+            assert isinstance(tracker._builder, RebindingBuilder) is rebuild
             return updates
 
         incremental = run()
-        rebuild = run(stream_rebuild=True)
+        rebuild = run(rebuild=True)
         assert len(incremental) == len(rebuild)
         resolved = 0
         for a, b in zip(incremental, rebuild):

@@ -5,10 +5,10 @@ The performance contract of the ISSUE-8 streaming pipeline, recorded to
 
 * Replaying a >= 2000-mark drive one tracking period at a time through
   :meth:`RupsTracker.stream_update` (resident builder + anchored suffix
-  search) must beat the naive rebuild-per-update baseline — a fresh
-  cache-disabled engine binding the *entire* accumulated scan stream
-  and running the full double-sided estimate at every tick — by >= 10x
-  mean wall clock per update.
+  search) must beat the naive rebuild-per-update baseline — a cold
+  :func:`~repro.core.binding.bind_scan` of the *entire* accumulated
+  scan stream and a fresh engine's full double-sided estimate at every
+  tick — by >= 10x mean wall clock per update.
 * The baseline is sampled (it is quadratic in drive length by
   construction); the incremental path is timed over every event.
 
@@ -22,6 +22,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.binding import bind_scan
 from repro.core.config import RupsConfig
 from repro.core.engine import RupsEngine
 from repro.core.tracking import RupsTracker
@@ -93,6 +94,11 @@ def test_stream_update_speedup_contract(record_result, stream_inputs):
 
     # -- baseline: rebuild everything from scratch at sampled events ---
     sample_idx = np.linspace(len(events) // 2, len(events) - 1, N_BASELINE_SAMPLES)
+    cold_bind = dict(
+        context_length_m=config.context_length_m,
+        spacing_m=config.spacing_m,
+        interpolate=True,
+    )
     base_times = []
     for i in sample_idx.astype(int):
         t = float(events[i])
@@ -100,12 +106,9 @@ def test_stream_update_speedup_contract(record_result, stream_inputs):
         rear_trk = rear.estimated.until(t)
         fb, rb = _cut(front.scan, front_trk), _cut(rear.scan, rear_trk)
         start = time.perf_counter()
-        engine = RupsEngine(
-            config, trajectory_cache_size=0, reduction_cache_size=0
-        )
-        own = engine.build_trajectory(rear.scan.slice(0, rb), rear_trk)
-        other = engine.build_trajectory(front.scan.slice(0, fb), front_trk)
-        estimate = engine.estimate_relative_distance(own, other)
+        own = bind_scan(rear.scan.slice(0, rb), rear_trk, **cold_bind)
+        other = bind_scan(front.scan.slice(0, fb), front_trk, **cold_bind)
+        estimate = RupsEngine(config).estimate_relative_distance(own, other)
         base_times.append(time.perf_counter() - start)
         assert estimate.resolved
 

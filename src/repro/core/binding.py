@@ -439,11 +439,10 @@ class DriveBindingIndex:
             raise ValueError("chunk channel plan does not match the index")
         old_track = self.track
         m = len(old_track.times_s)
-        if (
-            len(track.times_s) < m
-            or track.times_s[0] != old_track.times_s[0]
-            or track.times_s[m - 1] != old_track.times_s[m - 1]
-            or track.distance_m[m - 1] != old_track.distance_m[m - 1]
+        if len(track.times_s) < m or not (
+            np.array_equal(track.times_s[:m], old_track.times_s)
+            and np.array_equal(track.distance_m[:m], old_track.distance_m)
+            and np.array_equal(track.heading_rad[:m], old_track.heading_rad)
         ):
             raise ValueError("track must extend the previously provided track")
         if len(chunk):

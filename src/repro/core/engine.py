@@ -116,59 +116,28 @@ class RupsEngine:
     config:
         Algorithm tunables; defaults follow the paper (see
         :class:`~repro.core.config.RupsConfig`).
-    trajectory_cache_size:
-        LRU bound on cached :meth:`build_trajectory` results (and their
-        per-drive binding indices).  ``0`` disables trajectory caching
-        and restores the plain per-call :func:`bind_scan` path.
-    reduction_cache_size:
-        LRU bound on cached channel reductions.  A convoy vehicle
-        alternates queries across its neighbours (A<->B, A<->C, ...), so
-        one slot per live pair keeps every tracking session's reduced
-        pair (and the sliding statistics memoised on it) warm; ``0``
-        disables.
 
-    The trajectory and binding-index caches key on object identity of
-    immutable inputs and hold strong references to the keyed objects, so
-    a recycled ``id()`` can never alias a dead entry (hits additionally
-    verify identity).  The reduction cache keys on the trajectories'
-    :attr:`~repro.core.trajectory.GsmTrajectory.content_token` instead:
-    a campaign worker that rebuilds (or checks out of the shared-statics
-    store) a bit-identical trajectory under a fresh object still hits,
-    where the previous identity key missed on every query of every warm
-    re-run.  Cached trajectories come from a per-drive
+    On-grid builds are served from a per-drive
     :class:`~repro.core.binding.DriveBindingIndex`, which is
-    differentially tested to be bit-identical to :func:`bind_scan`.
+    differentially tested to be bit-identical to :func:`bind_scan`.  The
+    engine keeps the last few indices in a small LRU keyed on the
+    identity of the ``(scan, track)`` inputs; it holds strong references
+    to the keyed objects, so a recycled ``id()`` can never alias a dead
+    entry (hits additionally verify identity).  Nothing else carries
+    over between queries: every estimate reduces channels and runs its
+    SYN sweep afresh.
     """
 
     _BINDING_INDEX_SLOTS = 4
 
-    def __init__(
-        self,
-        config: RupsConfig | None = None,
-        trajectory_cache_size: int = 128,
-        reduction_cache_size: int = 8,
-    ) -> None:
+    def __init__(self, config: RupsConfig | None = None) -> None:
         self.config = config or RupsConfig()
-        if trajectory_cache_size < 0 or reduction_cache_size < 0:
-            raise ValueError("cache sizes must be non-negative")
-        self._trajectory_cache_size = int(trajectory_cache_size)
-        self._reduction_cache_size = int(reduction_cache_size)
-        # (id(scan), id(track), at_time_s, context) -> (scan, track, traj)
-        self._trajectories: OrderedDict[tuple, tuple] = OrderedDict()
         # (id(scan), id(track)) -> (scan, track, DriveBindingIndex)
         self._binding_indices: OrderedDict[tuple, tuple] = OrderedDict()
-        # (own.content_token, other.content_token) -> (own_r, other_r).
-        # Tracking sessions query the same pairs repeatedly (§V-B);
-        # reusing the reduced trajectories keeps their memoised sliding
-        # statistics warm across updates — and the content key lets
-        # bit-identical rebuilds from other processes or later campaign
-        # runs hit too.
-        self._reductions: OrderedDict[tuple, tuple] = OrderedDict()
         # Materialise the cache counters so every metrics snapshot that
         # saw an engine carries the full hit/miss key set, hits or not.
-        for cache in ("trajectory", "binding_index", "reduction"):
-            inc(f"engine.cache.{cache}.hit", 0)
-            inc(f"engine.cache.{cache}.miss", 0)
+        for outcome in ("hit", "miss"):
+            inc(f"engine.cache.binding_index.{outcome}", 0)
 
     # ------------------------------------------------------------------
     def _binding_index(
@@ -179,8 +148,10 @@ class RupsEngine:
         if hit is not None and hit[0] is scan and hit[1] is track:
             self._binding_indices.move_to_end(key)
             inc("engine.cache.binding_index.hit")
+            emit("engine.build", diagnostic=True, cache="hit")
             return hit[2]
         inc("engine.cache.binding_index.miss")
+        emit("engine.build", diagnostic=True, cache="miss")
         with trace("engine.bind_index"):
             # Content-addressed: a fresh engine (or another process's
             # checkout of the same drive) reuses an already-built index.
@@ -205,12 +176,12 @@ class RupsEngine:
         interpolates missing channels (§IV-C).  The result is what the
         vehicle would broadcast to neighbours.
 
-        Repeated builds over one drive are served from a cached
+        On-grid contexts are sliced out of the drive's cached
         :class:`~repro.core.binding.DriveBindingIndex` (whole-drive
-        binning, O(window) per query) and memoised per query instant, so
-        convoy scenes and tracking sessions stop re-binning the full
-        scan stream on every query.  Results are bit-identical to the
-        uncached path.
+        binning, O(window) per query), so convoy scenes and campaigns
+        stop re-binning the full scan stream on every query; an off-grid
+        context falls back to :func:`bind_scan`.  Both paths are
+        bit-identical.
         """
         ctx = (
             self.config.context_length_m
@@ -221,7 +192,7 @@ class RupsEngine:
         on_grid = ctx is None or abs(
             round(float(ctx) / spacing) * spacing - float(ctx)
         ) <= 1e-9
-        if self._trajectory_cache_size == 0 or not on_grid:
+        if not on_grid:
             emit("engine.build", diagnostic=True, cache="bypass")
             with trace("engine.build"):
                 return bind_scan(
@@ -232,56 +203,20 @@ class RupsEngine:
                     spacing_m=spacing,
                     interpolate=True,
                 )
-        key = (
-            id(scan),
-            id(track),
-            None if at_time_s is None else float(at_time_s),
-            None if ctx is None else float(ctx),
-        )
-        hit = self._trajectories.get(key)
-        if hit is not None and hit[0] is scan and hit[1] is track:
-            self._trajectories.move_to_end(key)
-            inc("engine.cache.trajectory.hit")
-            emit("engine.build", diagnostic=True, cache="hit")
-            return hit[2]
-        inc("engine.cache.trajectory.miss")
-        emit("engine.build", diagnostic=True, cache="miss")
         with trace("engine.build"):
-            trajectory = self._binding_index(scan, track).bind(
+            return self._binding_index(scan, track).bind(
                 at_time_s=at_time_s, context_length_m=ctx, interpolate=True
             )
-        self._trajectories[key] = (scan, track, trajectory)
-        while len(self._trajectories) > self._trajectory_cache_size:
-            self._trajectories.popitem(last=False)
-        return trajectory
 
     def _reduce_channels(
-        self, own: GsmTrajectory, other: GsmTrajectory, use_cache: bool = True
+        self, own: GsmTrajectory, other: GsmTrajectory
     ) -> tuple[GsmTrajectory, GsmTrajectory]:
         """Restrict both trajectories to the strongest common channels.
 
         The paper's checking window is "top 45 channels wide" (§VI-B);
         strength is ranked on the combined mean power so both vehicles
         agree on the subset.
-
-        ``use_cache=False`` skips the token-keyed reduction LRU — probe
-        and store — and so does a disabled LRU (``reduction_cache_size=0``).
-        The streaming anchored rung passes it: both contexts change on
-        every tick, so the probe can never hit, and computing the two
-        content tokens just to build its key costs more than the whole
-        reduction.
         """
-        use_cache = use_cache and self._reduction_cache_size > 0
-        if use_cache:
-            key = (own.content_token, other.content_token)
-            hit = self._reductions.get(key)
-            if hit is not None:
-                self._reductions.move_to_end(key)
-                inc("engine.cache.reduction.hit")
-                emit("engine.reduce", diagnostic=True, cache="hit")
-                return hit
-        inc("engine.cache.reduction.miss")
-        emit("engine.reduce", diagnostic=True, cache="miss")
         common = own.common_channels(other)
         if common.size < 2:
             raise ValueError("trajectories share fewer than two channels")
@@ -325,10 +260,6 @@ class RupsEngine:
         chosen = common[top]
         own_r = own_c.select_channels(chosen)
         other_r = other_c.select_channels(chosen)
-        if use_cache:
-            self._reductions[key] = (own_r, other_r)
-            while len(self._reductions) > self._reduction_cache_size:
-                self._reductions.popitem(last=False)
         return own_r, other_r
 
     # ------------------------------------------------------------------
@@ -376,11 +307,10 @@ class RupsEngine:
 
         ``anchors`` (optional, one per pair) runs a pair's search as the
         streaming rung: sweeps anchored on a prior lock, ``guard_m``
-        back (see :func:`~repro.core.syn.find_syn_points_batch`), and no
-        reduction-LRU probe.  An unresolved anchored estimate is *not*
-        proof the vehicles diverged: the caller must retry the full
-        search before dropping a lock (the tracker's fallback ladder
-        does).
+        back (see :func:`~repro.core.syn.find_syn_points_batch`).  An
+        unresolved anchored estimate is *not* proof the vehicles
+        diverged: the caller must retry the full search before dropping
+        a lock (the tracker's fallback ladder does).
         """
         agg = self.config.aggregation if aggregation is None else aggregation
         ids: list[str | None] = (
@@ -392,11 +322,9 @@ class RupsEngine:
         if len(pair_anchors) != len(pairs):
             raise ValueError("anchors must match pairs in length")
         reduced: list[tuple[GsmTrajectory, GsmTrajectory]] = []
-        for (own, other), query_id, anchor in zip(pairs, ids, pair_anchors):
+        for (own, other), query_id in zip(pairs, ids):
             with _query_scope(query_id), trace("engine.reduce"):
-                reduced.append(
-                    self._reduce_channels(own, other, use_cache=anchor is None)
-                )
+                reduced.append(self._reduce_channels(own, other))
         syn_lists = find_syn_points_batch(
             reduced,
             self.config,

@@ -161,9 +161,6 @@ class RupsTracker:
         self._locked = False
         self._failures = 0
         self._history: list[TrackerUpdate] = []
-        self._trim_cache: dict[
-            str, tuple[GsmTrajectory, float, GsmTrajectory]
-        ] = {}
         self._last_context: GsmTrajectory | None = None
         self._anchor: SynPoint | None = None
         self._builder: TrajectoryBuilder | None = None
@@ -194,7 +191,6 @@ class RupsTracker:
         self._locked = False
         self._failures = 0
         self._history.clear()
-        self._trim_cache.clear()
         self._last_context = None
         self._anchor = None
 
@@ -318,12 +314,10 @@ class RupsTracker:
         if over_budget and self._locked:
             # Staleness is decided *before* the search mode: a context
             # past its budget must not be searched in locked (trimmed)
-            # mode and then reported as such — the lock is gone, the
-            # update runs at full context, and the trim cache is cold
-            # (its entries belong to a neighbour no longer trusted).
+            # mode and then reported as such — the lock is gone and the
+            # update runs at full context.
             self._locked = False
             self._failures = 0
-            self._trim_cache.clear()
             self._anchor = None
             drop_cause = "staleness"
             inc("tracker.lock_dropped.staleness")
@@ -336,8 +330,8 @@ class RupsTracker:
         mode = "locked" if self._locked else "full"
         inc(f"tracker.updates.{mode}")
         if self._locked:
-            own_q = self._trim(own, "own")
-            other_q = self._trim(context, "other")
+            own_q = self._trim(own)
+            other_q = self._trim(context)
         else:
             own_q, other_q = own, context
         return TrackerPlan(
@@ -387,7 +381,6 @@ class RupsTracker:
         self._locked = estimate.resolved
         self._failures = 0
         if not self._locked:
-            self._trim_cache.clear()
             plan.drop_cause = "failures"
             inc("tracker.lock_dropped.failures")
         return self._finish_update(plan, estimate, use_anchor)
@@ -400,7 +393,6 @@ class RupsTracker:
             # well the stale context still matched the trimmed search.
             self._locked = False
             self._failures = 0
-            self._trim_cache.clear()
             plan.drop_cause = "staleness"
         if estimate.resolved:
             # Most recent accepted SYN point anchors the next streaming
@@ -466,37 +458,10 @@ class RupsTracker:
             update = self.absorb_retry(plan, estimate, use_anchor=use_anchor)
         return update
 
-    def _trim(self, trajectory: GsmTrajectory, role: str) -> GsmTrajectory:
+    def _trim(self, trajectory: GsmTrajectory) -> GsmTrajectory:
         if trajectory.length_m <= self.locked_context_m:
             return trajectory
-        # The cache is keyed on (content token, trim window): when the
-        # source trajectory did not change since the previous update
-        # (vehicle stationary / same broadcast re-queried), hand back the
-        # previous object *without* re-slicing — its memoised SYN-kernel
-        # sliding statistics, and every engine cache keyed on its token
-        # or identity, stay warm.  Tokens are only *computed* when the reuse
-        # is plausible, though: the same object is a hit outright, and a
-        # source whose shape or end timestamp moved (every streaming
-        # tick) is a certain miss — hashing two full contexts per update
-        # just to confirm that would dominate the trim itself.
-        prev = self._trim_cache.get(role)
-        if prev is not None:
-            src, window, tail = prev
-            if window == self.locked_context_m:
-                if src is trajectory:
-                    return tail
-                if (
-                    trajectory.n_marks == src.n_marks
-                    and trajectory.geo.start_distance_m
-                    == src.geo.start_distance_m
-                    and float(trajectory.geo.timestamps_s[-1])
-                    == float(src.geo.timestamps_s[-1])
-                    and trajectory.content_token == src.content_token
-                ):
-                    return tail
-        tail = trajectory.tail(self.locked_context_m)
-        self._trim_cache[role] = (trajectory, self.locked_context_m, tail)
-        return tail
+        return trajectory.tail(self.locked_context_m)
 
 
 @dataclass

@@ -14,8 +14,6 @@ positions — that is the point of RUPS.
 
 from __future__ import annotations
 
-import hashlib
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,7 +167,6 @@ class GsmTrajectory:
         # statistics; not part of the dataclass value (the power matrix
         # fully determines it).
         object.__setattr__(self, "_sliding_stats", {})
-        object.__setattr__(self, "_content_token", None)
 
     @property
     def n_channels(self) -> int:
@@ -190,34 +187,6 @@ class GsmTrajectory:
     def spacing_m(self) -> float:
         """Mark spacing [m]."""
         return self.geo.spacing_m
-
-    @property
-    def content_token(self) -> str:
-        """Hex digest of the trajectory's full value, memoised.
-
-        Two trajectories with bit-identical power, channel ids, and geo
-        series share a token even when they are distinct objects — e.g.
-        rebuilt by different worker processes or checked out of the
-        shared-statics store.  Caches that key on the token therefore
-        stay warm across process boundaries and campaign re-runs, where
-        identity keys would miss forever (identity is still what keeps
-        the sliding-statistics memo safe: it lives on the object).
-        """
-        token = self._content_token  # type: ignore[attr-defined]
-        if token is None:
-            h = hashlib.sha256()
-            h.update(self.power_dbm.tobytes())
-            h.update(self.channel_ids.tobytes())
-            h.update(self.geo.timestamps_s.tobytes())
-            h.update(self.geo.headings_rad.tobytes())
-            h.update(
-                struct.pack(
-                    "<dd", self.geo.spacing_m, self.geo.start_distance_m
-                )
-            )
-            token = h.hexdigest()
-            object.__setattr__(self, "_content_token", token)
-        return token
 
     @property
     def missing_fraction(self) -> float:
@@ -306,13 +275,10 @@ class TrajectoryBuilder:
     the contract the prefix-equivalence suite in
     ``tests/test_streaming_prefix.py`` enforces.
 
-    When the requested window's content did not change at all since the
-    previous serve, the *previous object* is returned, so every memo on
-    it (sliding stats, content token) and every identity- or token-keyed
-    engine cache stays hot.  Each context length requested through
-    :meth:`trajectory` keeps its own serve chain (which also seeds the
-    incremental gap fill), so a tracker alternating full-context and
-    locked-context builds warms both.
+    Each context length requested through :meth:`trajectory` keeps its
+    own serve chain, the seed of the next serve's incremental gap fill,
+    so a tracker alternating full-context and locked-context builds
+    warms both.
 
     :meth:`append` validates before it commits: a rejected chunk leaves
     the builder — binding state, measurement count, served trajectory —
@@ -375,10 +341,12 @@ class TrajectoryBuilder:
             same full-drive track every time satisfies this trivially).
 
         Raises ``ValueError`` — with the builder unchanged — for a chunk
-        that is unsorted, overlaps earlier measurements, reaches beyond
-        ``track``, or uses another channel plan, and for a track that
-        does not extend the previous one.
+        that holds a non-finite RSSI, is unsorted, overlaps earlier
+        measurements, reaches beyond ``track``, or uses another channel
+        plan, and for a track that does not extend the previous one.
         """
+        if not np.all(np.isfinite(chunk.rssi_dbm)):
+            raise ValueError("chunk holds non-finite RSSI")
         if self._index is None:
             from repro.core.binding import DriveBindingIndex
 
@@ -418,25 +386,13 @@ class TrajectoryBuilder:
             context_length_m=length,
             interpolate=False,
         )
-        prev = self._last.get(key)
-        if self.interpolate:
-            from repro.core.binding import seed_interpolate_missing
+        if not self.interpolate:
+            return new
+        from repro.core.binding import seed_interpolate_missing
 
-            filled = seed_interpolate_missing(self._last_raw.get(key), prev, new)
-            self._last_raw[key] = new
-            new = filled
-        if prev is not None and _same_window(prev, new):
-            return prev
-        self._last[key] = new
-        return new
-
-
-def _same_window(a: GsmTrajectory, b: GsmTrajectory) -> bool:
-    """Whether two serves of one builder hold bit-identical windows."""
-    return (
-        a.geo.start_distance_m == b.geo.start_distance_m
-        # Bit-level compare: NaN cells of never-measured channels match.
-        and np.array_equal(a.power_dbm.view(np.int64), b.power_dbm.view(np.int64))
-        and np.array_equal(a.geo.timestamps_s, b.geo.timestamps_s)
-        and np.array_equal(a.geo.headings_rad, b.geo.headings_rad)
-    )
+        filled = seed_interpolate_missing(
+            self._last_raw.get(key), self._last.get(key), new
+        )
+        self._last_raw[key] = new
+        self._last[key] = filled
+        return filled

@@ -115,17 +115,15 @@ def _campaign_engine(config: RupsConfig) -> RupsEngine:
     """The worker-resident campaign engine for this config.
 
     One engine per distinct config lives in the process for the lifetime
-    of the worker (via the derived-object cache), so its trajectory,
-    binding-index, and reduction caches stay warm across every chunk the
-    worker executes — and across warm re-runs in the parent.  Safe for
-    determinism because every engine cache is differentially proven
-    bit-identical to the uncached pipeline.
+    of the worker (via the derived-object cache), so its binding-index
+    LRU stays warm across every chunk the worker executes — and across
+    warm re-runs in the parent.  Safe for determinism because the
+    binding index is differentially proven bit-identical to
+    :func:`~repro.core.binding.bind_scan`.
     """
     return shared_store.derived(
         ("campaign.engine", shared_store.content_key(config)),
-        lambda: RupsEngine(
-            config, trajectory_cache_size=32, reduction_cache_size=16
-        ),
+        lambda: RupsEngine(config),
     )
 
 

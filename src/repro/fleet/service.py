@@ -129,16 +129,13 @@ class FleetTicket:
 def _fleet_engine(config: RupsConfig) -> RupsEngine:
     """The worker-resident fleet engine for this config.
 
-    One engine per distinct config per process (derived-object cache):
-    its reduction cache stays warm across every chunk the worker
-    executes.  Safe for determinism — every engine cache is
-    differentially proven bit-identical to the uncached pipeline.
+    One engine per distinct config per process (derived-object cache),
+    reused by every chunk the worker executes.  Fleet chunks only
+    estimate: the store's builders serve every trajectory.
     """
     return shared_store.derived(
         ("fleet.engine", shared_store.content_key(config)),
-        lambda: RupsEngine(
-            config, trajectory_cache_size=16, reduction_cache_size=32
-        ),
+        lambda: RupsEngine(config),
     )
 
 

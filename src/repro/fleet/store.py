@@ -7,9 +7,8 @@ hash (``zlib.crc32``), never the interpreter's randomised ``hash()``,
 so shard assignment is reproducible across processes and runs — and
 keeps, per vehicle, the resident
 :class:`~repro.core.trajectory.TrajectoryBuilder` the streaming
-pipeline feeds plus a bounded ring of the most recent raw scan chunks
-(diagnostics / late-joiner replay).  Tracking sessions are per *ordered*
-pair (``own`` tracks ``other``) and live in the owning vehicle's shard.
+pipeline feeds.  Tracking sessions are per *ordered* pair (``own``
+tracks ``other``) and live in the owning vehicle's shard.
 
 The store itself is deliberately single-process and unlocked: the
 deterministic fleet service runs all state transitions in the
@@ -21,8 +20,7 @@ per-shard processes), not concurrency.
 from __future__ import annotations
 
 import zlib
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.config import RupsConfig
 from repro.core.tracking import RupsTracker
@@ -32,9 +30,6 @@ from repro.obs.metrics import inc, set_gauge
 from repro.sensors.deadreckoning import EstimatedTrack
 
 __all__ = ["FleetStore", "VehicleSlot"]
-
-#: Raw scan chunks retained per vehicle (most recent first out).
-DEFAULT_RING_CHUNKS = 32
 
 
 @dataclass
@@ -51,18 +46,13 @@ class VehicleSlot:
     track:
         The dead-reckoned track as of the last ingest (what the builder
         was last extended with).
-    ring:
-        Bounded deque of the most recent raw scan chunks, newest last —
-        enough to replay the recent past for diagnostics without keeping
-        the whole drive's stream.
     n_chunks, n_measurements:
-        Lifetime ingest totals (the ring forgets, these do not).
+        Lifetime ingest totals.
     """
 
     vehicle_id: str
     builder: TrajectoryBuilder
     track: EstimatedTrack | None = None
-    ring: deque = field(default_factory=lambda: deque(maxlen=DEFAULT_RING_CHUNKS))
     n_chunks: int = 0
     n_measurements: int = 0
 
@@ -77,8 +67,6 @@ class FleetStore:
         ``context_length_m`` (the builders need a serving window).
     n_shards:
         Shard count; ids are placed by ``crc32(id) % n_shards``.
-    ring_chunks:
-        Raw scan chunks retained per vehicle.
     tracker_kwargs:
         Extra keyword arguments for every created
         :class:`~repro.core.tracking.RupsTracker` (lock window, failure
@@ -89,18 +77,14 @@ class FleetStore:
         self,
         config: RupsConfig | None = None,
         n_shards: int = 8,
-        ring_chunks: int = DEFAULT_RING_CHUNKS,
         tracker_kwargs: dict | None = None,
     ) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if ring_chunks < 1:
-            raise ValueError("ring_chunks must be >= 1")
         self.config = config or RupsConfig()
         if self.config.context_length_m is None:
             raise ValueError("FleetStore requires a bounded context_length_m")
         self.n_shards = int(n_shards)
-        self.ring_chunks = int(ring_chunks)
         self.tracker_kwargs = dict(tracker_kwargs or {})
         self._shards: list[dict[str, VehicleSlot]] = [
             {} for _ in range(self.n_shards)
@@ -143,7 +127,6 @@ class FleetStore:
                     spacing_m=self.config.spacing_m,
                     context_length_m=self.config.context_length_m,
                 ),
-                ring=deque(maxlen=self.ring_chunks),
             )
         slot.builder.append(chunk, track)
         if admit:
@@ -151,7 +134,6 @@ class FleetStore:
             inc("fleet.store.vehicles_admitted")
             set_gauge("fleet.store.vehicles", self.n_vehicles)
         slot.track = track
-        slot.ring.append(chunk)
         slot.n_chunks += 1
         slot.n_measurements += len(chunk)
         inc("fleet.store.ingests")
@@ -178,10 +160,6 @@ class FleetStore:
         service as error estimates rather than failures.
         """
         return self.slot(vehicle_id).builder.trajectory(at_time_s=at_time_s)
-
-    def recent_chunks(self, vehicle_id: str) -> list[ScanStream]:
-        """The retained raw scan chunks, oldest first."""
-        return list(self.slot(vehicle_id).ring)
 
     def vehicles(self) -> list[str]:
         """All admitted vehicle ids, sorted (placement-independent)."""

@@ -166,7 +166,7 @@ class MetricsRegistry:
     """Counters, gauges and histograms for one process (or one task).
 
     All three families are created lazily on first write and keyed by
-    dotted metric names (``"engine.cache.trajectory.hit"``).  Snapshots
+    dotted metric names (``"engine.cache.binding_index.hit"``).  Snapshots
     preserve insertion order, which — together with the executor's
     submission-ordered merge — is what keeps merged registries
     byte-identical across worker counts.

@@ -27,10 +27,11 @@ Two ID disciplines keep that invariance honest:
   ``blake2(context + (name, k))`` where ``k`` counts *earlier spans of
   the same name* in this recorder.  Placement-dependent spans (see
   below) then only perturb their own name's counter — an
-  ``engine.build`` that fires on one worker's cache miss but not
+  ``engine.bind_index`` that fires on one worker's cache miss but not
   another's cannot shift the ID of the ``syn.search`` that follows it.
 * **Placement spans are excluded from the invariant view.**
-  ``engine.build`` / ``engine.bind_index`` fire on cache *misses*, and
+  ``engine.bind_index`` fires on binding-index cache *misses*, inside
+  the ``engine.build`` span of the build that missed, and
   worker-resident caches legitimately see different request streams per
   chunk layout — the exact caveat ``engine.cache.*`` counters carry in
   :func:`~repro.obs.metrics.invariant_snapshot`.
@@ -69,10 +70,10 @@ __all__ = [
     "use_recorder",
 ]
 
-#: Span names emitted only on cache misses: real per run, but their
-#: presence depends on how work was spread over worker-resident caches
-#: (the tracing analogue of ``engine.cache.*`` counters).  The
-#: structural trace view strips them by default.
+#: Span names tied to worker-resident cache placement: the binding-index
+#: build that fires only on a cache miss, and the trajectory build that
+#: encloses it (the tracing analogue of ``engine.cache.*`` counters).
+#: The structural trace view strips them by default.
 PLACEMENT_SPAN_NAMES: tuple[str, ...] = ("engine.build", "engine.bind_index")
 
 
@@ -266,7 +267,7 @@ class SpanRecorder:
 
         Wall-clock fields (``start_s``, ``wall_s``, ``cpu_s``) are real
         but never reproducible; placement spans
-        (:data:`PLACEMENT_SPAN_NAMES`) fire per cache miss and so vary
+        (:data:`PLACEMENT_SPAN_NAMES`) depend on cache misses and so vary
         with worker count.  Both are stripped here — what remains
         (names, IDs, parent links, order, links, attrs, the drop count)
         is byte-identical for any ``jobs``, the tracing analogue of

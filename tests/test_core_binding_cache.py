@@ -1,9 +1,10 @@
-"""Differential suite: DriveBindingIndex / engine caches vs the plain path.
+"""Differential suite: DriveBindingIndex / engine builds vs the plain path.
 
-The trajectory cache is only allowed to exist because it is *bitwise*
+The binding index is only allowed to exist because it is *bitwise*
 identical to re-running :func:`bind_scan` per query: same bins, same
 accumulation order, same NaN placement, same interpolation.  These tests
-enforce that, plus the engine-level LRU semantics built on top of it.
+enforce that, for the index itself and for the engine builds served
+from it.
 """
 
 import numpy as np
@@ -124,24 +125,18 @@ class TestDriveBindingIndexDifferential:
 
 
 class TestEngineTrajectoryCache:
-    def test_repeat_query_returns_cached_object(self, scan_and_track):
-        scan, track = scan_and_track
-        engine = RupsEngine(RupsConfig(context_length_m=300.0))
-        first = engine.build_trajectory(scan, track, at_time_s=50.0)
-        again = engine.build_trajectory(scan, track, at_time_s=50.0)
-        assert again is first
-        other_instant = engine.build_trajectory(scan, track, at_time_s=60.0)
-        assert other_instant is not first
-
     def test_cached_equals_uncached(self, scan_and_track):
         scan, track = scan_and_track
         cached_engine = RupsEngine(RupsConfig(context_length_m=300.0))
-        plain_engine = RupsEngine(
-            RupsConfig(context_length_m=300.0), trajectory_cache_size=0
-        )
         for tq in (30.0, 45.5, 62.0):
             assert_bitwise_equal(
-                plain_engine.build_trajectory(scan, track, at_time_s=tq),
+                bind_scan(
+                    scan,
+                    track,
+                    at_time_s=tq,
+                    context_length_m=300.0,
+                    interpolate=True,
+                ),
                 cached_engine.build_trajectory(scan, track, at_time_s=tq),
             )
 
@@ -155,70 +150,3 @@ class TestEngineTrajectoryCache:
             scan, track, at_time_s=50.0, context_length_m=120.7
         )
         assert_bitwise_equal(direct, traj)
-
-    def test_lru_bound_respected(self, scan_and_track):
-        scan, track = scan_and_track
-        engine = RupsEngine(
-            RupsConfig(context_length_m=150.0), trajectory_cache_size=3
-        )
-        for tq in (40.0, 45.0, 50.0, 55.0, 60.0):
-            engine.build_trajectory(scan, track, at_time_s=tq)
-        assert len(engine._trajectories) == 3
-
-
-class TestEngineReductionLru:
-    def _trajectories(self, scan_and_track, engine):
-        scan, track = scan_and_track
-        return [
-            engine.build_trajectory(scan, track, at_time_s=tq)
-            for tq in (50.0, 60.0, 70.0)
-        ]
-
-    def test_alternating_pairs_all_hit(self, scan_and_track):
-        """A convoy head alternates neighbours: A<->B, A<->C, A<->B, ...
-
-        The old single-slot cache thrashed on exactly this pattern; the
-        keyed LRU must serve every revisit from cache (same objects out).
-        """
-        engine = RupsEngine(RupsConfig(context_length_m=300.0))
-        a, b, c = self._trajectories(scan_and_track, engine)
-        first_ab = engine._reduce_channels(a, b)
-        first_ac = engine._reduce_channels(a, c)
-        assert engine._reduce_channels(a, b)[0] is first_ab[0]
-        assert engine._reduce_channels(a, c)[1] is first_ac[1]
-        assert len(engine._reductions) == 2
-
-    def test_lru_eviction_order(self, scan_and_track):
-        engine = RupsEngine(
-            RupsConfig(context_length_m=300.0), reduction_cache_size=2
-        )
-        a, b, c = self._trajectories(scan_and_track, engine)
-        engine._reduce_channels(a, b)
-        engine._reduce_channels(a, c)
-        engine._reduce_channels(a, b)  # refresh (a, b)
-        engine._reduce_channels(b, c)  # evicts (a, c), not (a, b)
-        keys = list(engine._reductions)
-        assert (a.content_token, b.content_token) in keys
-        assert (a.content_token, c.content_token) not in keys
-
-    def test_disabled_cache_stores_nothing(self, scan_and_track):
-        engine = RupsEngine(
-            RupsConfig(context_length_m=300.0), reduction_cache_size=0
-        )
-        a, b, _ = self._trajectories(scan_and_track, engine)
-        engine._reduce_channels(a, b)
-        assert len(engine._reductions) == 0
-
-    def test_disabled_cache_hashes_nothing(self, scan_and_track):
-        """With no LRU to probe, no estimate computes a content token."""
-        engine = RupsEngine(
-            RupsConfig(context_length_m=300.0), reduction_cache_size=0
-        )
-        a, b, _ = self._trajectories(scan_and_track, engine)
-        engine.estimate_relative_distance(a, b)
-        assert a._content_token is None and b._content_token is None
-        assert len(engine._reductions) == 0
-
-    def test_negative_cache_size_rejected(self):
-        with pytest.raises(ValueError):
-            RupsEngine(trajectory_cache_size=-1)

@@ -148,19 +148,16 @@ class TestDegradedTracking:
         """Regression: staleness must be decided before the search mode.
 
         Previously an over-budget update still ran the locked (trimmed)
-        search, returned ``mode="locked"`` with ``locked_after=False``
-        (a contradictory TrackerUpdate), and left the trim cache warm
-        for a neighbour whose context was no longer trusted.
+        search and returned ``mode="locked"`` with ``locked_after=False``
+        (a contradictory TrackerUpdate).
         """
         rear, front = synthetic_pair(gap_m=30.0)
         tracker = RupsTracker(CFG, locked_context_m=150.0, staleness_budget_s=1.0)
         tracker.update(rear, front)
-        tracker.update(rear, front)  # locked update warms the trim cache
-        assert tracker._trim_cache
+        tracker.update(rear, front)  # locked update
         u = tracker.update(rear, other=None, context_age_s=2.0)
         assert u.mode == "full"
         assert not u.locked_after
-        assert tracker._trim_cache == {}
 
     def test_lock_drop_on_failures_clears_trim_cache(self):
         rear, front = synthetic_pair(gap_m=30.0)
@@ -168,10 +165,8 @@ class TestDegradedTracking:
         tracker = RupsTracker(CFG, locked_context_m=150.0, max_locked_failures=1)
         tracker.update(rear, front)
         tracker.update(rear, front)
-        assert tracker._trim_cache
         tracker.update(rear, foreign)  # locked fails, full retry fails
         assert not tracker.locked
-        assert tracker._trim_cache == {}
 
     def test_fresh_context_relocks_after_staleness(self):
         rear, front = synthetic_pair(gap_m=30.0)
@@ -250,12 +245,10 @@ class TestDegradedTracking:
         rear, front = synthetic_pair(gap_m=30.0)
         tracker = RupsTracker(CFG, locked_context_m=150.0)
         tracker.update(rear, front)
-        tracker.update(rear, front)  # locked update: cache warm, anchor set
+        tracker.update(rear, front)  # locked update: anchor set
         assert tracker._anchor is not None
-        assert tracker._trim_cache
         tracker.reset()
         assert tracker._anchor is None
-        assert tracker._trim_cache == {}
         assert tracker._last_context is None
         assert tracker.history == []
         assert not tracker.locked

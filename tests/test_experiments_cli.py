@@ -129,8 +129,8 @@ class TestCliObservability:
         counters = snap["counters"]
         assert counters["campaign.queries"] == 4
         assert counters["syn.searches"] >= 1
-        assert "engine.cache.trajectory.hit" in counters
-        assert "engine.cache.trajectory.miss" in counters
+        assert "engine.cache.binding_index.hit" in counters
+        assert "engine.cache.binding_index.miss" in counters
         assert snap["histograms"]["span.syn.search"]["count"] >= 1
         assert snap["histograms"]["span.campaign.query_chunk"]["count"] >= 1
 

@@ -44,8 +44,6 @@ class TestFleetStore:
     def test_validation(self):
         with pytest.raises(ValueError):
             FleetStore(CFG, n_shards=0)
-        with pytest.raises(ValueError):
-            FleetStore(CFG, ring_chunks=0)
 
     def test_shard_placement_is_stable_crc32(self):
         store = FleetStore(CFG, n_shards=5)
@@ -57,7 +55,7 @@ class TestFleetStore:
             assert FleetStore(CFG, n_shards=5).shard_of(vid) == s
 
     def test_ingest_admits_counts_and_rings(self, shared_pair):
-        store = FleetStore(CFG, ring_chunks=2)
+        store = FleetStore(CFG)
         rear = shared_pair.rear
         cuts: dict = {}
         t0 = float(rear.estimated.times_s[0])
@@ -68,8 +66,6 @@ class TestFleetStore:
         slot = store.slot("v1")
         assert slot.n_chunks == 4
         assert slot.n_measurements == cuts["v1"]
-        assert len(slot.ring) == 2  # bounded: only the newest survive
-        assert store.recent_chunks("v1") == list(slot.ring)
         assert store.n_vehicles == 1
         assert store.vehicles() == ["v1"]
         assert sum(store.shard_sizes()) == 1

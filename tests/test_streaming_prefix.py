@@ -5,8 +5,8 @@ ragged chunk appends, every incrementally maintained structure is
 **bitwise** what a cold batch build over the same prefix produces —
 
 * :meth:`DriveBindingIndex.extend` vs a fresh :func:`bind_scan`;
-* :class:`TrajectoryBuilder` served trajectories (power, geo, content
-  token) vs cold builds, across ragged chunk boundaries and truncated
+* :class:`TrajectoryBuilder` served trajectories (power, channels,
+  geo) vs cold builds, across ragged chunk boundaries and truncated
   tracks;
 * the served window vs any other chunking of the same measurements, and
   a rejected append changing nothing at all;
@@ -14,7 +14,7 @@ ragged chunk appends, every incrementally maintained structure is
   every chunk so far on each update (:class:`RebindingBuilder`) and,
   with anchoring off, vs the historical batch
   :meth:`RupsTracker.update` path;
-* the trim cache and ``GeoTrajectory`` distance memos that ride along.
+* the ``GeoTrajectory`` distance memos that ride along.
 
 Everything asserts exact equality — no tolerances — in the house style
 of ``tests/test_core_binding_cache.py``.
@@ -60,7 +60,7 @@ def _assert_trajectories_identical(a, b) -> None:
     assert np.array_equal(a.power_dbm, b.power_dbm, equal_nan=True)
     assert np.array_equal(a.geo.timestamps_s, b.geo.timestamps_s)
     assert np.array_equal(a.geo.headings_rad, b.geo.headings_rad)
-    assert a.content_token == b.content_token
+    assert a.spacing_m == b.spacing_m
 
 
 class TestBindingIndexExtend:
@@ -127,6 +127,31 @@ class TestBindingIndexExtend:
         with pytest.raises(ValueError, match="beyond the provided track"):
             index.extend(scan.slice(b, len(scan)), trk)
 
+    @pytest.mark.parametrize("series", ["distance_m", "heading_rad"])
+    def test_extend_rejects_an_interior_track_rewrite(self, shared_pair, series):
+        # The old track's first and last samples stay put; only its
+        # interior moves back, by up to 3 m (or 3 rad of heading).
+        rec = shared_pair.rear
+        scan, track = rec.scan, rec.estimated
+        trk1, trk2 = _truncate(track, 60.0), _truncate(track, 90.0)
+        b1, b2 = _chunk_bounds(scan, trk1), _chunk_bounds(scan, trk2)
+        index = DriveBindingIndex(scan.slice(0, b1), trk1)
+        before = index.bind()
+        m = len(trk1.times_s)
+        lo, hi = m // 2, m - 10
+        bump = np.zeros(len(trk2.times_s))
+        bump[lo:hi] = 3.0 * np.sin(np.pi * np.arange(hi - lo) / (hi - lo))
+        fields = {"distance_m": trk2.distance_m, "heading_rad": trk2.heading_rad}
+        fields[series] = fields[series] - bump
+        rewritten = EstimatedTrack(trk2.times_s, **fields)
+        with pytest.raises(ValueError, match="track must extend"):
+            index.extend(scan.slice(b1, b2), rewritten)
+        assert index.track is trk1
+        _assert_trajectories_identical(index.bind(), before)
+        index.extend(scan.slice(b1, b2), trk2)
+        cold = DriveBindingIndex(scan.slice(0, b2), trk2)
+        _assert_trajectories_identical(index.bind(), cold.bind())
+
 
 class TestTrajectoryBuilderPrefixEquivalence:
     def test_builder_bitwise_equals_cold_build_at_every_prefix(self, shared_pair):
@@ -151,18 +176,6 @@ class TestTrajectoryBuilderPrefixEquivalence:
             checked += 1
         assert checked >= 5
 
-    def test_unchanged_window_returns_previous_object(self, shared_pair):
-        rec = shared_pair.rear
-        scan, track = rec.scan, rec.estimated
-        builder = TrajectoryBuilder(context_length_m=150.0)
-        trk = _truncate(track, 60.0)
-        b = _chunk_bounds(scan, trk)
-        builder.append(scan.slice(0, b), trk)
-        first = builder.trajectory()
-        # No new information: same served object, memos and all.
-        builder.append(scan.slice(b, b), trk)
-        assert builder.trajectory() is first
-
     def test_serve_is_chunking_invariant(self, shared_pair):
         rec = shared_pair.rear
         scan, track = rec.scan, rec.estimated
@@ -184,6 +197,13 @@ class TestTrajectoryBuilderPrefixEquivalence:
     def test_builder_rejects_off_grid_context(self):
         with pytest.raises(ValueError, match="whole multiple"):
             TrajectoryBuilder(context_length_m=150.5)
+
+
+def _poisoned(chunk, value: float):
+    """The chunk with one RSSI reading replaced by ``value``."""
+    rssi = chunk.rssi_dbm.copy()
+    rssi[len(rssi) // 2] = value
+    return replace(chunk, rssi_dbm=rssi)
 
 
 def _reversed(chunk):
@@ -243,6 +263,8 @@ class TestBuilderAppendIsAtomic:
             {
                 "unsorted": (_reversed(good), trk),
                 "beyond track": (scan.slice(0, b + 50), trk),
+                "inf RSSI": (_poisoned(good, np.inf), trk),
+                "NaN RSSI": (_poisoned(good, np.nan), trk),
             },
         )
         builder.append(good, trk)
@@ -279,6 +301,8 @@ class TestBuilderAppendIsAtomic:
                 ),
                 "other channels": (replace(nxt, plan=relabelled), trk2),
                 "track not extended": (nxt, rewritten),
+                "inf RSSI": (_poisoned(nxt, -np.inf), trk2),
+                "NaN RSSI": (_poisoned(nxt, np.nan), trk2),
             },
         )
         builder.append(nxt, trk2)
@@ -444,7 +468,6 @@ class TestStreamReset:
         tracker.reset()
         assert tracker._builder is builder
         assert tracker._anchor is None
-        assert tracker._trim_cache == {}
         assert tracker._last_context is None
         assert tracker.history == []
 
@@ -504,20 +527,6 @@ class TestStreamReset:
 
 
 class TestSatelliteFixes:
-    def test_trim_cache_reuses_object_for_unchanged_token(self, shared_pair, shared_engine):
-        cfg = RupsConfig(context_length_m=600.0, window_channels=30)
-        tracker = RupsTracker(cfg, locked_context_m=150.0)
-        rec = shared_pair.rear
-        t0, t1 = shared_pair.query_window(context_length_m=600.0)
-        own = shared_engine.build_trajectory(rec.scan, rec.estimated, at_time_s=t1)
-        first = tracker._trim(own, "own")
-        assert first.length_m == 150.0
-        assert tracker._trim(own, "own") is first
-        # A bit-identical rebuild (different object) still reuses.
-        own2 = bind_scan(rec.scan, rec.estimated, at_time_s=t1, context_length_m=600.0)
-        assert own2 is not own
-        assert tracker._trim(own2, "own") is first
-
     def test_geo_distance_memos(self):
         geo = GeoTrajectory(
             timestamps_s=np.arange(5.0),

@@ -293,7 +293,6 @@ class RupsEngine:
         aggregation: str | None = None,
         query_ids: list[str | None] | None = None,
         anchors: list[SynPoint | None] | None = None,
-        guard_m: float = 50.0,
     ) -> list[RupsEstimate]:
         """:meth:`estimate_relative_distance` for many pairs at once.
 
@@ -306,8 +305,9 @@ class RupsEngine:
         method; ``query_ids`` optionally tags each pair's events.
 
         ``anchors`` (optional, one per pair) runs a pair's search as the
-        streaming rung: sweeps anchored on a prior lock, ``guard_m``
-        back (see :func:`~repro.core.syn.find_syn_points_batch`).  An
+        streaming rung: sweeps anchored on a prior lock,
+        :data:`~repro.core.syn.ANCHOR_GUARD_M` back (see
+        :func:`~repro.core.syn.find_syn_points_batch`).  An
         unresolved anchored estimate is *not* proof the vehicles
         diverged: the caller must retry the full search before dropping
         a lock (the tracker's fallback ladder does).
@@ -331,7 +331,6 @@ class RupsEngine:
             n_points=n_syn_points,
             query_ids=ids,
             anchors=pair_anchors,
-            guard_m=guard_m,
         )
         estimates = []
         for (own_r, other_r), syn_points, query_id in zip(
@@ -348,7 +347,6 @@ class RupsEngine:
         own: GsmTrajectory,
         other: GsmTrajectory,
         anchor: SynPoint,
-        guard_m: float = 50.0,
         n_syn_points: int | None = None,
         aggregation: str | None = None,
         query_id: str | None = None,
@@ -362,7 +360,6 @@ class RupsEngine:
             aggregation=aggregation,
             query_ids=[query_id],
             anchors=[anchor],
-            guard_m=guard_m,
         )
         return estimate
 

@@ -46,6 +46,7 @@ from repro.obs.metrics import inc
 from repro.obs.tracing import trace
 
 __all__ = [
+    "ANCHOR_GUARD_M",
     "SynPoint",
     "seek_syn_point",
     "find_syn_points",
@@ -54,6 +55,12 @@ __all__ = [
     "heading_agreement_rad",
     "heading_agreement_many",
 ]
+
+
+#: Backwards guard band of an anchored sweep [m]: window positions up to
+#: this far before the last lock are still scanned, absorbing mark-scale
+#: lock jitter and odometry drift.
+ANCHOR_GUARD_M = 50.0
 
 
 def _query_scope(query_id: str | None):
@@ -244,10 +251,10 @@ def _match_windows_many(
 
     Every request goes to one
     :func:`~repro.core.correlation.fused_sweep_many` call over the
-    target's sliding statistics — memoised on the target for a full
-    sweep, built from the suffix alone (O(n * suffix)) for an anchored
-    one.  A target (or suffix) dominated by degenerate windows is
-    scored by the feature-matrix product instead, built for that
+    sliding statistics of the target's scanned suffix, built per
+    request: the whole target for a full sweep, O(n * suffix) for an
+    anchored one.  A target (or suffix) dominated by degenerate windows
+    is scored by the feature-matrix product instead, built for that
     request and not kept.
     """
     results: list[list[tuple[float, int] | None]] = [
@@ -264,11 +271,7 @@ def _match_windows_many(
             continue
         starts = np.array([ends[i] - w + 1 for i in valid], dtype=np.intp)
         p0 = min(max(int(min_pos), 0), target.n_marks - w)
-        stats = (
-            target.sliding_stats(w)
-            if p0 == 0
-            else SlidingWindowStats(target.power_dbm[:, p0:], w)
-        )
+        stats = SlidingWindowStats(target.power_dbm[:, p0:], w)
         if stats.suspect_fraction <= _SUSPECT_FRACTION_LIMIT:
             sweeps.append((idx, valid, starts, p0, stats))
             continue
@@ -428,7 +431,7 @@ def find_syn_points_anchored(
     anchor: SynPoint,
     config: RupsConfig | None = None,
     n_points: int | None = None,
-    guard_m: float = 50.0,
+    guard_m: float = ANCHOR_GUARD_M,
 ) -> list[SynPoint]:
     """:func:`find_syn_points` with both sweeps anchored by a prior lock:
     a batch-of-one :func:`find_syn_points_batch` search with ``anchor``
@@ -461,7 +464,7 @@ def find_syn_points_batch(
     n_points: int | None = None,
     query_ids: list[str | None] | None = None,
     anchors: list[SynPoint | None] | None = None,
-    guard_m: float = 50.0,
+    guard_m: float = ANCHOR_GUARD_M,
 ) -> list[list[SynPoint]]:
     """:func:`find_syn_points` for many ``(own, other)`` pairs at once.
 

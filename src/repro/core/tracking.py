@@ -60,29 +60,32 @@ class TrackerUpdate:
 
 @dataclass
 class TrackerPlan:
-    """One tracking period, planned but not yet searched.
+    """One tracking period, from its plan until it is decided.
 
     Produced by :meth:`RupsTracker.plan_update`, which runs everything a
     tracking period does *except* the SYN search itself: context
-    bookkeeping, staleness/lock decisions, and trimming.  A fleet
-    service uses this to gather many sessions' pending searches into one
-    cross-pair batched kernel call, then feeds each estimate back
-    through :meth:`RupsTracker.absorb_update` /
-    :meth:`RupsTracker.absorb_retry`.
+    bookkeeping, staleness/lock decisions, and trimming.  The plan then
+    carries the next search to run.  The caller estimates ``pair`` —
+    anchored on ``anchor`` — and feeds the result to
+    :meth:`RupsTracker.absorb_update`, repeating until ``update`` is
+    set.  A fleet service runs that loop over many sessions at once,
+    one cross-pair batched kernel call per round.
 
     Attributes
     ----------
     update:
-        Set when the period was decided without any search (no context
-        ever decoded); the plan is then complete and must not be
-        absorbed.
+        The finished period, once decided: at plan time when no context
+        was ever decoded (nothing to search), otherwise by the absorb
+        that ends the ladder.  A decided plan must not be absorbed.
     pair:
-        ``(own_q, other_q)`` — the (possibly trimmed) trajectories the
-        SYN search must run over, when ``update`` is ``None``.
-    retry_pair:
-        Set by :meth:`RupsTracker.absorb_update` when the locked-failure
-        ladder demands an immediate full-context retry: estimate this
-        pair and feed the result to :meth:`RupsTracker.absorb_retry`.
+        ``(own_q, other_q)`` — the trajectories the next SYN search must
+        run over: the (possibly trimmed) pair, or the full-context pair
+        of the locked-failure retry.
+    anchor:
+        The SYN point the next search is anchored on (the streaming
+        rung's suffix sweep), or ``None`` for a full double-sided sweep.
+    anchored:
+        Whether the period began with the anchored rung.
 
     The remaining fields are the session bookkeeping the absorb step
     needs; treat them as read-only.
@@ -90,10 +93,12 @@ class TrackerPlan:
 
     update: TrackerUpdate | None
     pair: tuple[GsmTrajectory, GsmTrajectory] | None
-    retry_pair: tuple[GsmTrajectory, GsmTrajectory] | None = None
+    anchor: SynPoint | None = None
+    anchored: bool = False
     own: GsmTrajectory | None = None
     context: GsmTrajectory | None = None
     mode: str = "full"
+    retrying: bool = False
     degraded: bool = False
     over_budget: bool = False
     was_locked: bool = False
@@ -103,6 +108,14 @@ class TrackerPlan:
 
 class RupsTracker:
     """Stateful per-neighbour tracking session.
+
+    Every period walks one ladder, decided by :meth:`absorb_update`
+    alone: an anchored suffix sweep (streaming, while locked), then the
+    full double-sided search over the trimmed pair, then — after
+    ``max_locked_failures`` consecutive locked misses — one search at
+    full context.  :meth:`update` and :meth:`stream_update` run it one
+    search at a time; a fleet service batches each rung across
+    sessions.
 
     Parameters
     ----------
@@ -119,17 +132,6 @@ class RupsTracker:
         before the tracker refuses to keep its lock: beyond the budget
         the SYN lock is dropped and updates report unlocked, degraded
         estimates until a fresh context arrives.
-    anchored_search:
-        Whether :meth:`stream_update` may anchor the locked SYN sweep on
-        the last accepted SYN point, scanning only the un-searched
-        suffix of each trajectory (falling back to the full double-sided
-        search whenever the anchored sweep comes up empty).  The batch
-        :meth:`update` path never anchors, preserving its historical
-        results.
-    anchor_guard_m:
-        Backwards guard band of the anchored sweep [m]: window positions
-        up to this far before the last lock are still scanned, absorbing
-        mark-scale lock jitter and odometry drift.
     """
 
     def __init__(
@@ -138,8 +140,6 @@ class RupsTracker:
         locked_context_m: float = 200.0,
         max_locked_failures: int = 2,
         staleness_budget_s: float = 2.0,
-        anchored_search: bool = True,
-        anchor_guard_m: float = 50.0,
     ) -> None:
         self.config = config or RupsConfig()
         if locked_context_m < self.config.window_length_m:
@@ -150,13 +150,9 @@ class RupsTracker:
             raise ValueError("max_locked_failures must be >= 1")
         if staleness_budget_s <= 0:
             raise ValueError("staleness_budget_s must be positive")
-        if anchor_guard_m < 0:
-            raise ValueError("anchor_guard_m must be non-negative")
         self.locked_context_m = float(locked_context_m)
         self.max_locked_failures = int(max_locked_failures)
         self.staleness_budget_s = float(staleness_budget_s)
-        self.anchored_search = bool(anchored_search)
-        self.anchor_guard_m = float(anchor_guard_m)
         self._engine = RupsEngine(self.config)
         self._locked = False
         self._failures = 0
@@ -211,9 +207,9 @@ class RupsTracker:
         successfully decoded context, with ``context_age_s`` giving its
         age; the update is then flagged ``degraded``, and once the age
         exceeds ``staleness_budget_s`` the lock is dropped until a fresh
-        context arrives.
+        context arrives.  The search is never anchored.
         """
-        return self._run_update(own, other, context_age_s, anchored=False)
+        return self._run_update(self.plan_update(own, other, context_age_s))
 
     def stream_update(
         self,
@@ -233,11 +229,9 @@ class RupsTracker:
         bounded own context out of it in O(chunk + changed window) — no
         re-binning of the drive.  ``track`` is
         the own dead-reckoned track as known now and must extend the one
-        passed previously.  The search then runs the usual locked /
-        full ladder, with one extra rung in front when
-        ``anchored_search`` is on: a suffix sweep anchored on the last
-        accepted SYN point, falling back to the full double-sided search
-        over the (trimmed) context when it comes up empty.
+        passed previously.  The period is planned with ``anchored=True``
+        (see :meth:`plan_update`): while locked, the ladder starts with
+        a suffix sweep anchored on the last accepted SYN point.
 
         Raises ``ValueError`` while the drive is still too short for a
         trajectory, exactly as the batch build would.
@@ -254,7 +248,7 @@ class RupsTracker:
             self._builder.append(chunk, track)
             own = self._builder.trajectory(at_time_s=at_time_s)
         return self._run_update(
-            own, other, context_age_s, anchored=self.anchored_search
+            self.plan_update(own, other, context_age_s, anchored=True)
         )
 
     def plan_update(
@@ -262,6 +256,7 @@ class RupsTracker:
         own: GsmTrajectory,
         other: GsmTrajectory | None = None,
         context_age_s: float = 0.0,
+        anchored: bool = False,
     ) -> TrackerPlan:
         """Run one tracking period up to (but excluding) the SYN search.
 
@@ -269,12 +264,17 @@ class RupsTracker:
         the staleness decision, mode selection, and trimming.  When the
         period can be decided without searching at all (no context ever
         decoded), the returned plan carries the finished ``update``;
-        otherwise the caller estimates ``plan.pair`` — with any engine
-        holding the same config — and feeds the result to
-        :meth:`absorb_update`.  Splitting the period this way is what
-        lets a fleet service batch many sessions' searches into one
-        cross-pair kernel call while every session's state transitions
-        stay in the submitting process, deterministic under any fan-out.
+        otherwise the caller estimates ``plan.pair`` anchored on
+        ``plan.anchor`` — with any engine holding the same config — and
+        feeds each result to :meth:`absorb_update` until the plan is
+        decided.  Splitting the period this way is what lets a fleet
+        service batch many sessions' searches into one cross-pair kernel
+        call while every session's state transitions stay in the
+        submitting process, deterministic under any fan-out.
+
+        ``anchored`` lets a locked session start with the anchored
+        suffix sweep: :meth:`stream_update` passes ``True``;
+        :meth:`update` and the fleet service keep the default.
         """
         if context_age_s < 0:
             # Validate before touching any session state: an invalid
@@ -334,9 +334,16 @@ class RupsTracker:
             other_q = self._trim(context)
         else:
             own_q, other_q = own, context
+        # Fastest rung of the ladder: anchored on the last lock, the
+        # sweep scans only the suffix at or after it.
+        anchor = self._anchor if anchored and self._locked else None
+        if anchor is not None:
+            inc("tracker.updates.anchored")
         return TrackerPlan(
             update=None,
             pair=(own_q, other_q),
+            anchor=anchor,
+            anchored=anchor is not None,
             own=own,
             context=context,
             mode=mode,
@@ -348,18 +355,34 @@ class RupsTracker:
         )
 
     def absorb_update(
-        self, plan: TrackerPlan, estimate: RupsEstimate, use_anchor: bool = False
+        self, plan: TrackerPlan, estimate: RupsEstimate
     ) -> TrackerUpdate | None:
         """Fold the search result of ``plan.pair`` into the session.
 
-        Returns the finished :class:`TrackerUpdate`, or ``None`` when
-        the locked-failure ladder demands an immediate full-context
-        retry — ``plan.retry_pair`` is then set, and the caller must
-        estimate it and call :meth:`absorb_retry`.
+        The only place the ladder's rungs are decided.  Returns ``None``
+        when the period needs another search — ``plan.pair`` and
+        ``plan.anchor`` then name it — and otherwise the finished
+        :class:`TrackerUpdate`, which is also stored in ``plan.update``.
         """
-        if plan.update is not None or plan.pair is None:
-            raise ValueError("plan was already decided without a search")
-        if estimate.resolved:
+        if plan.update is not None:
+            raise ValueError("plan is already decided")
+        if plan.anchor is not None:
+            plan.anchor = None
+            if not estimate.resolved:
+                # Empty-handed is not conclusive (the true peak may sit
+                # outside the guard band), so search the trimmed pair
+                # again, full double-sided, before charging a locked
+                # failure.
+                inc("tracker.anchor_retries")
+                return None
+        if plan.retrying:
+            # The full-context retry decides the lock either way.
+            self._locked = estimate.resolved
+            self._failures = 0
+            if not self._locked:
+                plan.drop_cause = "failures"
+                inc("tracker.lock_dropped.failures")
+        elif estimate.resolved:
             self._locked = True
             self._failures = 0
         elif self._locked:
@@ -367,26 +390,18 @@ class RupsTracker:
             if self._failures >= self.max_locked_failures:
                 # Retry immediately at full context before reporting.
                 inc("tracker.full_retries")
-                plan.retry_pair = (plan.own, plan.context)
+                plan.pair = (plan.own, plan.context)
+                plan.mode = "full"
+                plan.retrying = True
                 return None
-        return self._finish_update(plan, estimate, use_anchor)
+        return self._finish_update(plan, estimate)
 
-    def absorb_retry(
-        self, plan: TrackerPlan, estimate: RupsEstimate, use_anchor: bool = False
-    ) -> TrackerUpdate:
-        """Fold the full-context retry result of ``plan.retry_pair`` in."""
-        if plan.retry_pair is None:
-            raise ValueError("plan did not request a retry")
-        plan.mode = "full"
-        self._locked = estimate.resolved
-        self._failures = 0
-        if not self._locked:
-            plan.drop_cause = "failures"
-            inc("tracker.lock_dropped.failures")
-        return self._finish_update(plan, estimate, use_anchor)
+    # perfbench/layers.py traces this name, and its self-test pins the
+    # list of absent targets: keep it as an alias of the one absorb.
+    absorb_retry = absorb_update
 
     def _finish_update(
-        self, plan: TrackerPlan, estimate: RupsEstimate, use_anchor: bool
+        self, plan: TrackerPlan, estimate: RupsEstimate
     ) -> TrackerUpdate:
         if plan.over_budget and self._locked:
             # Past the staleness budget the lock is never kept, however
@@ -414,49 +429,28 @@ class RupsTracker:
             context_age_s=plan.context_age_s,
             drop_cause=plan.drop_cause,
             cause=estimate.cause,
-            anchored=use_anchor,
+            anchored=plan.anchored,
         )
-        update = TrackerUpdate(
+        plan.update = TrackerUpdate(
             estimate=estimate,
             mode=plan.mode,
             locked_after=self._locked,
             degraded=plan.degraded,
             context_age_s=plan.context_age_s,
         )
-        self._history.append(update)
-        return update
+        self._history.append(plan.update)
+        return plan.update
 
-    def _run_update(
-        self,
-        own: GsmTrajectory,
-        other: GsmTrajectory | None,
-        context_age_s: float,
-        anchored: bool,
-    ) -> TrackerUpdate:
-        plan = self.plan_update(own, other, context_age_s)
-        if plan.update is not None:
-            return plan.update
-        # Fastest rung of the ladder: anchored on the last lock, the
-        # sweep scans only the suffix at or after it.
-        anchor = self._anchor if anchored and self._locked else None
-        if anchor is not None:
-            inc("tracker.updates.anchored")
-        (estimate,) = self._engine.estimate_relative_distance_batch(
-            [plan.pair], anchors=[anchor], guard_m=self.anchor_guard_m
-        )
-        if anchor is not None and not estimate.resolved:
-            # Empty-handed is not conclusive (the true peak may sit
-            # outside the guard band), so retry the full double-sided
-            # search over the trimmed context before charging a locked
-            # failure.
-            inc("tracker.anchor_retries")
-            estimate = self._engine.estimate_relative_distance(*plan.pair)
-        use_anchor = anchor is not None
-        update = self.absorb_update(plan, estimate, use_anchor=use_anchor)
-        if update is None:
-            estimate = self._engine.estimate_relative_distance(*plan.retry_pair)
-            update = self.absorb_retry(plan, estimate, use_anchor=use_anchor)
-        return update
+    def _run_update(self, plan: TrackerPlan) -> TrackerUpdate:
+        """Search and absorb until the period is decided — the loop
+        :meth:`FleetService.tick <repro.fleet.service.FleetService.tick>`
+        runs over many sessions at once."""
+        while plan.update is None:
+            (estimate,) = self._engine.estimate_relative_distance_batch(
+                [plan.pair], anchors=[plan.anchor]
+            )
+            self.absorb_update(plan, estimate)
+        return plan.update
 
     def _trim(self, trajectory: GsmTrajectory) -> GsmTrajectory:
         if trajectory.length_m <= self.locked_context_m:

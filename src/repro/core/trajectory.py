@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.correlation import SlidingWindowStats
-
 __all__ = [
     "GeoTrajectory",
     "GsmTrajectory",
@@ -163,10 +161,6 @@ class GsmTrajectory:
             raise ValueError("duplicate channel ids")
         object.__setattr__(self, "power_dbm", p)
         object.__setattr__(self, "channel_ids", c)
-        # Lazy per-window-size cache of the SYN sweep's sliding window
-        # statistics; not part of the dataclass value (the power matrix
-        # fully determines it).
-        object.__setattr__(self, "_sliding_stats", {})
 
     @property
     def n_channels(self) -> int:
@@ -244,21 +238,6 @@ class GsmTrajectory:
     def common_channels(self, other: "GsmTrajectory") -> np.ndarray:
         """Channel ids present in both trajectories (sorted)."""
         return np.intersect1d(self.channel_ids, other.channel_ids)
-
-    def sliding_stats(self, window_marks: int) -> SlidingWindowStats:
-        """Sliding window statistics for the SYN sweep, memoised.
-
-        O(n_channels * n_positions) per window size, built once and
-        cached on this (immutable) trajectory.  Treat the returned
-        object as read-only.
-        """
-        key = int(window_marks)
-        cache: dict[int, SlidingWindowStats] = self._sliding_stats  # type: ignore[attr-defined]
-        stats = cache.get(key)
-        if stats is None:
-            stats = SlidingWindowStats(self.power_dbm, key)
-            cache[key] = stats
-        return stats
 
 
 class TrajectoryBuilder:
@@ -341,12 +320,11 @@ class TrajectoryBuilder:
             same full-drive track every time satisfies this trivially).
 
         Raises ``ValueError`` — with the builder unchanged — for a chunk
-        that holds a non-finite RSSI, is unsorted, overlaps earlier
-        measurements, reaches beyond ``track``, or uses another channel
-        plan, and for a track that does not extend the previous one.
+        that is unsorted, overlaps earlier measurements, reaches beyond
+        ``track``, or uses another channel plan, and for a track that
+        does not extend the previous one.  (A non-finite RSSI never gets
+        this far: :class:`~repro.gsm.scanner.ScanStream` refuses it.)
         """
-        if not np.all(np.isfinite(chunk.rssi_dbm)):
-            raise ValueError("chunk holds non-finite RSSI")
         if self._index is None:
             from repro.core.binding import DriveBindingIndex
 

@@ -78,10 +78,10 @@ class KernelComparisonResult:
 
     ``rows``: one entry per context length ``(m, reference_s,
     fused_cold_s, fused_warm_s)``; cold includes building the target's
-    :class:`~repro.core.correlation.SlidingWindowStats`, warm reuses
-    them — the regime of the multi-SYN search and of repeat queries,
-    where the statistics are memoised per trajectory
-    (:meth:`~repro.core.trajectory.GsmTrajectory.sliding_stats`).
+    :class:`~repro.core.correlation.SlidingWindowStats`, warm passes
+    prebuilt statistics to the sweep and so times the sweep alone — the
+    share of a multi-SYN search that grows with its query windows, since
+    each search builds its statistics once per request.
     """
 
     rows: list[tuple[int, float, float, float]]
@@ -112,8 +112,8 @@ class KernelComparisonResult:
             table,
             title=(
                 "SYN sliding search — reference loop vs fused sweep "
-                f"(w={self.w_marks}, k={self.k_channels}; warm = memoised "
-                "sliding statistics, the multi-SYN/repeat-query regime)"
+                f"(w={self.w_marks}, k={self.k_channels}; warm = prebuilt "
+                "sliding statistics, the sweep alone)"
             ),
         )
 

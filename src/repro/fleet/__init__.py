@@ -8,22 +8,22 @@ vehicle already make a single session cheap (§V-B and the streaming
 pipeline); this package scales that to a *fleet*:
 
 * :mod:`repro.fleet.store` — :class:`FleetStore`, sharded resident
-  state: per-vehicle builders fed by ring-buffered scan ingestion, and
-  per-pair tracking sessions, both addressed by vehicle id.
+  state: per-vehicle builders fed by scan ingestion, and per-pair
+  tracking sessions, both addressed by vehicle id.
 * :mod:`repro.fleet.service` — :class:`FleetService`, the deterministic
   request path: ``submit()`` enqueues pair queries, ``tick()`` runs all
   pending sessions' SYN searches as fixed-size cross-pair batches fanned
   out over a :class:`~repro.runtime.DeterministicExecutor` (trajectories
   travel as :mod:`repro.runtime.shared` refs, not payloads), then folds
-  each result back into its session in submission order.
+  each result back into its session in submission order, one round
+  per rung of the tracking ladder.
 
 Splitting every tracking period into a parent-side plan/absorb pair and
-a pure batched search (``RupsTracker.plan_update`` /
-``absorb_update`` / ``absorb_retry``) is what keeps the fleet
-deterministic: all session state transitions happen in the submitting
-process, so results, merged metrics (modulo wall-clock ``span.*``
-histograms) and the provenance event stream are byte-identical for any
-``jobs``.
+pure batched searches (``RupsTracker.plan_update`` /
+``absorb_update``) is what keeps the fleet deterministic: all session
+state transitions happen in the submitting process, so results, merged
+metrics (modulo wall-clock ``span.*`` histograms) and the provenance
+event stream are byte-identical for any ``jobs``.
 """
 
 from repro.fleet.service import (

@@ -14,13 +14,16 @@ pending in one deterministic sweep:
    by ``chunk_pairs``, never by ``jobs``, because the cross-pair batched
    kernel's floats may depend on batch composition) and fanned out over
    a :class:`~repro.runtime.DeterministicExecutor`.  With shared statics
-   on, each distinct trajectory is published once per tick and ships as
-   a :class:`~repro.runtime.shared.SharedRef`; workers hold a resident
+   on, every searched trajectory is published (content-keyed: a payload
+   already spooled is not rewritten) and ships as a
+   :class:`~repro.runtime.shared.SharedRef`; workers hold a resident
    engine per config in the derived-object cache.
 3. **Absorb** (parent, serial, submission order): each estimate folds
-   back via :meth:`RupsTracker.absorb_update`; sessions whose
-   locked-failure ladder demands a full-context retry collect into a
-   second batched round absorbed by :meth:`RupsTracker.absorb_retry`.
+   back via :meth:`RupsTracker.absorb_update`, which decides every rung
+   of the tracking ladder.  A plan it leaves undecided names its next
+   search, and steps 2–3 repeat over those plans until every query is
+   answered — the same loop :meth:`RupsTracker.update` runs for one
+   session.
 
 Because every state transition happens in the submitting process and
 the searches are pure, results, merged (invariant) metrics and the
@@ -148,11 +151,11 @@ def _fleet_chunk_task(item: tuple) -> list[RupsEstimate]:
     events tagged by its query id.
 
     The chunk's span ID is precomputed by the submitting process (a pure
-    function of tick index, round and chunk index), so the parent can
-    link each query span to the exact chunk that served it without
+    function of tick index, round index and chunk index), so the parent
+    can link each query span to the exact chunk that served it without
     waiting for the worker's span snapshot.
     """
-    pairs_in, query_ids, config, span_id = item
+    pairs_in, anchors, query_ids, config, span_id = item
     engine = _fleet_engine(config)
     pairs = [
         (shared_store.resolve(own), shared_store.resolve(other))
@@ -165,7 +168,7 @@ def _fleet_chunk_task(item: tuple) -> list[RupsEstimate]:
         attrs=(("pairs", len(pairs)),),
     ):
         return engine.estimate_relative_distance_batch(
-            pairs, query_ids=list(query_ids)
+            pairs, query_ids=list(query_ids), anchors=list(anchors)
         )
 
 
@@ -273,9 +276,12 @@ class FleetService:
         """Answer every pending query; results in submission order.
 
         ``at_time_s`` bounds the served trajectories (``None`` = all
-        ingested data).  Each query's session absorbs its result before
-        the next tick, so repeated queries against one pair walk the
-        tracker's locked/full ladder exactly as a dedicated
+        ingested data).  After planning, the tick runs rounds: one
+        batched search over every undecided plan, then
+        :meth:`RupsTracker.absorb_update` in submission order, until
+        every plan is decided.  Every session absorbs its results before
+        the next tick, so queries against one pair in successive ticks
+        walk the tracker's ladder exactly as a dedicated
         :meth:`RupsTracker.update` loop would.
         """
         tickets, self._pending = self._pending, []
@@ -339,46 +345,31 @@ class FleetService:
                     else:
                         searches.append(i)
 
-            # Phase 2 — primary searches (pure, batched, fanned out).
-            estimates, chunk_sids = self._batched_estimates(
-                [plans[i].pair for i in searches],
-                [tickets[i].query.query_id for i in searches],
-                tick_idx=tick_idx,
-                round_label="primary",
-            )
-            for i, sid in zip(searches, chunk_sids):
-                links[i].append(sid)
-
-            # Phase 3 — absorb + full-context retry round.
-            retries: list[int] = []
-            with trace("fleet.absorb") as absorb_sid:
-                for i, estimate in zip(searches, estimates):
-                    links[i].append(absorb_sid)
-                    q = tickets[i].query
-                    tracker = self.store.session(q.own_id, q.other_id)
-                    with use_query_id(q.query_id):
-                        update = tracker.absorb_update(plans[i], estimate)
-                    if update is None:
-                        retries.append(i)
-                    else:
-                        results[i] = self._from_update(q, update)
-            if retries:
-                retry_estimates, retry_sids = self._batched_estimates(
-                    [plans[i].retry_pair for i in retries],
-                    [tickets[i].query.query_id for i in retries],
+            # Phases 2 and 3, one round per rung of the ladder: search
+            # every undecided plan (pure, batched, fanned out), then
+            # absorb in submission order (serial, state-mutating).
+            pending, rounds = searches, 0
+            while pending:
+                estimates, chunk_sids = self._batched_estimates(
+                    [plans[i] for i in pending],
+                    [tickets[i].query.query_id for i in pending],
                     tick_idx=tick_idx,
-                    round_label="retry",
+                    round_idx=rounds,
                 )
-                for i, sid in zip(retries, retry_sids):
-                    links[i].append(sid)
-                with trace("fleet.retry_absorb") as retry_absorb_sid:
-                    for i, estimate in zip(retries, retry_estimates):
-                        links[i].append(retry_absorb_sid)
+                undecided: list[int] = []
+                with trace("fleet.absorb", attrs=(("round", rounds),)) as absorb_sid:
+                    for i, estimate, sid in zip(pending, estimates, chunk_sids):
+                        links[i] += (sid, absorb_sid)
                         q = tickets[i].query
                         tracker = self.store.session(q.own_id, q.other_id)
                         with use_query_id(q.query_id):
-                            update = tracker.absorb_retry(plans[i], estimate)
-                        results[i] = self._from_update(q, update)
+                            update = tracker.absorb_update(plans[i], estimate)
+                        if update is None:
+                            undecided.append(i)
+                        else:
+                            results[i] = self._from_update(q, update)
+                pending = undecided
+                rounds += 1
 
             # Wall clock goes to the local registry only (see class doc).
             end_s = time.perf_counter()
@@ -406,10 +397,10 @@ class FleetService:
                 )
                 out.append(result)
         _log.debug(
-            "fleet tick: queries=%d searches=%d retries=%d",
+            "fleet tick: queries=%d searches=%d rounds=%d",
             len(tickets),
             len(searches),
-            len(retries),
+            rounds,
         )
         if self.flight is not None:
             self.flight.after_tick(self)
@@ -429,14 +420,15 @@ class FleetService:
 
     def _batched_estimates(
         self,
-        pairs: list[tuple[GsmTrajectory, GsmTrajectory]],
+        plans: list[TrackerPlan],
         query_ids: list[str],
-        tick_idx: int = 0,
-        round_label: str = "primary",
+        tick_idx: int,
+        round_idx: int,
     ) -> tuple[list[RupsEstimate], list[str]]:
-        """Estimate all pairs via fixed-size chunks over the executor.
+        """Run every plan's next search via fixed-size chunks over the
+        executor.
 
-        Returns the estimates plus, aligned with ``pairs``, the span ID
+        Returns the estimates plus, aligned with ``plans``, the span ID
         of the chunk that computed each one.  Chunk span IDs are derived
         here — ``(fleet.search, tick, round, chunk)`` — and handed to
         the workers, so the submitting process can link query spans to
@@ -444,46 +436,30 @@ class FleetService:
         stay invariant under any worker count (chunk layout is fixed by
         ``chunk_pairs``, never by ``jobs``).
         """
-        if not pairs:
-            return [], []
-        publish = self.shared_statics and self.executor.jobs > 1
-        if publish:
-            # One publish per distinct trajectory object per round: the
-            # store's builders hand back the same object while a
-            # vehicle's window is unchanged, and publishing is
-            # content-idempotent anyway, so refs — not payloads — are
-            # all that ships.
-            memo: dict[int, shared_store.SharedRef] = {}
-
-            def ship(traj: GsmTrajectory):
-                ref = memo.get(id(traj))
-                if ref is None:
-                    ref = self.executor.publish(traj)
-                    memo[id(traj)] = ref
-                return ref
-
-            shipped = [(ship(own), ship(other)) for own, other in pairs]
-        else:
-            shipped = list(pairs)
+        pairs = [plan.pair for plan in plans]
+        if self.shared_statics and self.executor.jobs > 1:
+            # Refs, not payloads, ship: publishing is content-idempotent.
+            publish = self.executor.publish
+            pairs = [(publish(own), publish(other)) for own, other in pairs]
+        anchors = [plan.anchor for plan in plans]
         items = []
         pair_sids: list[str] = []
-        for chunk_idx, (chunk, ids) in enumerate(
+        for chunk_idx, (chunk, chunk_anchors, ids) in enumerate(
             zip(
-                fixed_chunks(shipped, self.chunk_pairs),
+                fixed_chunks(pairs, self.chunk_pairs),
+                fixed_chunks(anchors, self.chunk_pairs),
                 fixed_chunks(query_ids, self.chunk_pairs),
             )
         ):
-            if not chunk:
-                continue
             sid = deterministic_span_id(
-                "fleet.search", tick_idx, round_label, chunk_idx
+                "fleet.search", tick_idx, round_idx, chunk_idx
             )
-            items.append((chunk, ids, self.store.config, sid))
+            items.append((chunk, chunk_anchors, ids, self.store.config, sid))
             pair_sids.extend([sid] * len(chunk))
-        inc("fleet.searches", len(pairs))
+        inc("fleet.searches", len(plans))
         with trace(
             "fleet.search_wave",
-            attrs=(("round", round_label), ("chunks", len(items))),
+            attrs=(("round", round_idx), ("chunks", len(items))),
         ):
             chunk_results = self.executor.map_ordered(_fleet_chunk_task, items)
         out: list[RupsEstimate] = []

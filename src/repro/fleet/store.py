@@ -43,16 +43,12 @@ class VehicleSlot:
     builder:
         Resident incremental trajectory builder; every ingested chunk is
         folded in, so serving a bounded context is O(window).
-    track:
-        The dead-reckoned track as of the last ingest (what the builder
-        was last extended with).
     n_chunks, n_measurements:
         Lifetime ingest totals.
     """
 
     vehicle_id: str
     builder: TrajectoryBuilder
-    track: EstimatedTrack | None = None
     n_chunks: int = 0
     n_measurements: int = 0
 
@@ -67,17 +63,15 @@ class FleetStore:
         ``context_length_m`` (the builders need a serving window).
     n_shards:
         Shard count; ids are placed by ``crc32(id) % n_shards``.
-    tracker_kwargs:
-        Extra keyword arguments for every created
-        :class:`~repro.core.tracking.RupsTracker` (lock window, failure
-        ladder, staleness budget).
+
+    Every session is a ``RupsTracker(config)`` with the tracker's
+    default lock window, failure ladder and staleness budget.
     """
 
     def __init__(
         self,
         config: RupsConfig | None = None,
         n_shards: int = 8,
-        tracker_kwargs: dict | None = None,
     ) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
@@ -85,7 +79,6 @@ class FleetStore:
         if self.config.context_length_m is None:
             raise ValueError("FleetStore requires a bounded context_length_m")
         self.n_shards = int(n_shards)
-        self.tracker_kwargs = dict(tracker_kwargs or {})
         self._shards: list[dict[str, VehicleSlot]] = [
             {} for _ in range(self.n_shards)
         ]
@@ -133,7 +126,6 @@ class FleetStore:
             shard[vehicle_id] = slot
             inc("fleet.store.vehicles_admitted")
             set_gauge("fleet.store.vehicles", self.n_vehicles)
-        slot.track = track
         slot.n_chunks += 1
         slot.n_measurements += len(chunk)
         inc("fleet.store.ingests")
@@ -189,7 +181,7 @@ class FleetStore:
         key = (str(own_id), str(other_id))
         tracker = sessions.get(key)
         if tracker is None:
-            tracker = RupsTracker(self.config, **self.tracker_kwargs)
+            tracker = RupsTracker(self.config)
             sessions[key] = tracker
             inc("fleet.store.sessions_opened")
             set_gauge("fleet.store.sessions", self.n_sessions)

@@ -216,9 +216,14 @@ class ScanStream:
         True arc-length position of the vehicle at each measurement [m]
         (simulation-internal; the RUPS pipeline never reads it).
     rssi_dbm:
-        Measured RSSI values [dBm].
+        Measured RSSI values [dBm]; every one must be finite.
     plan:
         The channel plan measured.
+
+    Raises ``ValueError`` for a non-finite RSSI.  Every path into
+    binding — :func:`~repro.core.binding.bind_scan`, the drive binding
+    index, the streaming builder, a scan loaded from disk — takes a
+    stream, so this one check keeps ``inf``/``NaN`` out of every context.
     """
 
     times_s: np.ndarray
@@ -227,6 +232,10 @@ class ScanStream:
     s_true_m: np.ndarray
     rssi_dbm: np.ndarray
     plan: ChannelPlan
+
+    def __post_init__(self) -> None:
+        if not np.all(np.isfinite(self.rssi_dbm)):
+            raise ValueError("scan holds non-finite RSSI")
 
     def __len__(self) -> int:
         return int(self.times_s.size)

@@ -259,16 +259,15 @@ class TestPlanAbsorbEquivalence:
 
     @staticmethod
     def _drive(tracker, engine, own, other, age=0.0):
-        """One tracking period through the decomposed path."""
+        """One tracking period through the decomposed path: search the
+        plan's next pair and absorb until the plan is decided."""
         plan = tracker.plan_update(own, other, context_age_s=age)
-        if plan.update is not None:
-            return plan.update
-        estimate = engine.estimate_relative_distance(*plan.pair)
-        update = tracker.absorb_update(plan, estimate)
-        if update is None:
-            estimate = engine.estimate_relative_distance(*plan.retry_pair)
-            update = tracker.absorb_retry(plan, estimate)
-        return update
+        while plan.update is None:
+            (estimate,) = engine.estimate_relative_distance_batch(
+                [plan.pair], anchors=[plan.anchor]
+            )
+            tracker.absorb_update(plan, estimate)
+        return plan.update
 
     def test_matches_update_through_full_ladder(self):
         """Every rung: full, locked, locked-failure retry, relock, stale."""
@@ -310,11 +309,16 @@ class TestPlanAbsorbEquivalence:
         with pytest.raises(ValueError):
             tracker.absorb_update(plan, plan.update.estimate)
 
-    def test_absorb_retry_requires_requested_retry(self):
+    def test_decided_plan_cannot_be_absorbed_again(self):
         rear, front = synthetic_pair(gap_m=30.0)
         tracker = RupsTracker(CFG, locked_context_m=150.0)
         engine = RupsEngine(CFG)
         plan = tracker.plan_update(rear, front)
         estimate = engine.estimate_relative_distance(*plan.pair)
+        update = tracker.absorb_update(plan, estimate)
+        assert update is not None and plan.update is update
+        locked, n_history = tracker.locked, len(tracker.history)
         with pytest.raises(ValueError):
-            tracker.absorb_retry(plan, estimate)
+            tracker.absorb_update(plan, estimate)
+        assert tracker.locked == locked
+        assert len(tracker.history) == n_history

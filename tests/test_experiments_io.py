@@ -41,6 +41,17 @@ class TestScanRoundtrip:
         with pytest.raises(ValueError, match="version"):
             load_scan(path)
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_rssi_refused(self, tmp_path, shared_pair, value):
+        path = tmp_path / "scan.npz"
+        save_scan(path, shared_pair.rear.scan)
+        with np.load(path) as data:
+            contents = {k: data[k] for k in data.files}
+        contents["rssi_dbm"][len(contents["rssi_dbm"]) // 2] = value
+        np.savez_compressed(path, **contents)
+        with pytest.raises(ValueError, match="non-finite RSSI"):
+            load_scan(path)
+
 
 class TestTrackRoundtrip:
     def test_roundtrip(self, tmp_path, shared_pair):

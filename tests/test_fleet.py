@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import RupsConfig
+from repro.core.engine import RupsEngine, RupsEstimate
 from repro.core.tracking import RupsTracker
 from repro.core.trajectory import TrajectoryBuilder
 from repro.fleet import FleetQuery, FleetService, FleetStore
@@ -130,13 +131,13 @@ class TestFleetStore:
             store.trajectory("v1")
 
     def test_sessions_are_ordered_pairs(self):
-        store = FleetStore(CFG, tracker_kwargs=dict(locked_context_m=150.0))
+        store = FleetStore(CFG)
         ab = store.session("a", "b")
         assert store.session("a", "b") is ab  # resident on reuse
         ba = store.session("b", "a")
         assert ba is not ab  # each side tracks against its own drive
         assert isinstance(ab, RupsTracker)
-        assert ab.locked_context_m == 150.0
+        assert ab.config is store.config
         assert store.n_sessions == 2
 
     def test_drop_vehicle_sweeps_all_sessions(self, shared_pair):
@@ -266,6 +267,77 @@ class TestFleetService:
                 assert est.error is None
                 resolved += est.resolved
         assert resolved > 0
+        session = svc_store.session("rear", "front")
+        assert session.locked == reference.locked
+        assert len(session.history) == len(reference.history)
+
+    def test_retry_round_matches_direct_tracker_loop(
+        self, shared_pair, monkeypatch
+    ):
+        """The ladder's later rungs run as extra rounds of the tick.
+
+        Locked searches are forced to fail on alternate queries, so with
+        ``max_locked_failures = 1`` every such query needs a second,
+        full-context search.  The service must still walk the session
+        exactly as a dedicated tracker does.
+        """
+        t0, t1 = shared_pair.query_window(context_length_m=600.0)
+        times = [float(t) for t in np.arange(t0, t1, 20.0)]
+        svc_store = FleetStore(CFG)
+        ref_store = FleetStore(CFG)
+        reference = RupsTracker(CFG, max_locked_failures=1)
+        svc_store.session("rear", "front").max_locked_failures = 1
+        trimmed_m = reference.locked_context_m
+
+        search = RupsEngine.estimate_relative_distance_batch
+        failing = [False]
+
+        def flaky(self, pairs, *args, **kwargs):
+            estimates = search(self, pairs, *args, **kwargs)
+            if not failing[0]:
+                return estimates
+            return [
+                RupsEstimate(None, (), (), est.aggregation, "threshold")
+                if own.length_m <= trimmed_m
+                else est
+                for (own, _), est in zip(pairs, estimates)
+            ]
+
+        monkeypatch.setattr(RupsEngine, "estimate_relative_distance_batch", flaky)
+        svc_metrics, ref_metrics = MetricsRegistry(), MetricsRegistry()
+        svc_cuts: dict = {}
+        ref_cuts: dict = {}
+        with FleetService(svc_store) as service:
+            for i, t in enumerate(times):
+                for store, cuts in (
+                    (svc_store, svc_cuts),
+                    (ref_store, ref_cuts),
+                ):
+                    _feed(store, "rear", shared_pair.rear, t, cuts)
+                    _feed(store, "front", shared_pair.front, t, cuts)
+                failing[0] = i % 2 == 1
+                with use_registry(svc_metrics):
+                    est = service.estimate(
+                        FleetQuery(
+                            query_id=f"q{i}", own_id="rear", other_id="front"
+                        ),
+                        at_time_s=t,
+                    )
+                with use_registry(ref_metrics):
+                    update = reference.update(
+                        ref_store.trajectory("rear", at_time_s=t),
+                        ref_store.trajectory("front", at_time_s=t),
+                    )
+                assert est.distance_m == update.estimate.distance_m
+                assert est.resolved == update.estimate.resolved
+                assert est.mode == update.mode
+                assert est.locked == update.locked_after
+                assert est.degraded == update.degraded
+                assert est.cause == update.estimate.cause
+                assert est.error is None
+        retries = ref_metrics.counter("tracker.full_retries")
+        assert retries > 0
+        assert svc_metrics.counter("tracker.full_retries") == retries
         session = svc_store.session("rear", "front")
         assert session.locked == reference.locked
         assert len(session.history) == len(reference.history)

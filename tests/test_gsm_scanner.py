@@ -1,5 +1,7 @@
 """Tests for repro.gsm.scanner: radio groups and scan schedules."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -138,3 +140,26 @@ class TestScanDrive:
         records = stream.measurements()
         assert len(records) == len(stream)
         assert records[0].channel_index == int(stream.channel_indices[0])
+
+
+class TestScanStreamRejectsNonFiniteRssi:
+    """Every binding path (``bind_scan``, the drive binding index, the
+    streaming builder) takes a ``ScanStream``, so a stream holding a
+    non-finite RSSI must not exist: one ``inf`` reading would bin into
+    ``inf`` cells of every context built over it."""
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("part", ["drive", "first chunk", "later chunk"])
+    def test_poisoned_stream_is_refused(self, shared_pair, part, value):
+        scan = shared_pair.rear.scan
+        half = len(scan) // 2
+        stream = {
+            "drive": scan,
+            "first chunk": scan.slice(0, half),
+            "later chunk": scan.slice(half, len(scan)),
+        }[part]
+        rssi = stream.rssi_dbm.copy()
+        rssi[len(rssi) // 2] = value
+        with pytest.raises(ValueError, match="non-finite RSSI"):
+            replace(stream, rssi_dbm=rssi)
+        assert np.all(np.isfinite(scan.rssi_dbm))  # the source is untouched

@@ -11,9 +11,9 @@ ragged chunk appends, every incrementally maintained structure is
 * the served window vs any other chunking of the same measurements, and
   a rejected append changing nothing at all;
 * :meth:`RupsTracker.stream_update` vs a tracker whose builder re-binds
-  every chunk so far on each update (:class:`RebindingBuilder`) and,
-  with anchoring off, vs the historical batch
-  :meth:`RupsTracker.update` path;
+  every chunk so far on each update (:class:`RebindingBuilder`), and vs
+  :meth:`RupsTracker.plan_update` (``anchored=True``) plus the absorb
+  loop over cold builds;
 * the ``GeoTrajectory`` distance memos that ride along.
 
 Everything asserts exact equality — no tolerances — in the house style
@@ -199,13 +199,6 @@ class TestTrajectoryBuilderPrefixEquivalence:
             TrajectoryBuilder(context_length_m=150.5)
 
 
-def _poisoned(chunk, value: float):
-    """The chunk with one RSSI reading replaced by ``value``."""
-    rssi = chunk.rssi_dbm.copy()
-    rssi[len(rssi) // 2] = value
-    return replace(chunk, rssi_dbm=rssi)
-
-
 def _reversed(chunk):
     """The chunk's measurements in reverse (unsorted) order."""
     return replace(
@@ -263,8 +256,6 @@ class TestBuilderAppendIsAtomic:
             {
                 "unsorted": (_reversed(good), trk),
                 "beyond track": (scan.slice(0, b + 50), trk),
-                "inf RSSI": (_poisoned(good, np.inf), trk),
-                "NaN RSSI": (_poisoned(good, np.nan), trk),
             },
         )
         builder.append(good, trk)
@@ -301,8 +292,6 @@ class TestBuilderAppendIsAtomic:
                 ),
                 "other channels": (replace(nxt, plan=relabelled), trk2),
                 "track not extended": (nxt, rewritten),
-                "inf RSSI": (_poisoned(nxt, -np.inf), trk2),
-                "NaN RSSI": (_poisoned(nxt, np.nan), trk2),
             },
         )
         builder.append(nxt, trk2)
@@ -336,19 +325,19 @@ class RebindingBuilder:
         )
 
 
-def _tracker(config: RupsConfig, rebuild: bool = False, **kwargs) -> RupsTracker:
+def _tracker(config: RupsConfig, rebuild: bool = False) -> RupsTracker:
     """A tracker; with ``rebuild`` its stream is re-bound on every update."""
-    tracker = RupsTracker(config, **kwargs)
+    tracker = RupsTracker(config)
     if rebuild:
         tracker._builder = RebindingBuilder(config)
     return tracker
 
 
 class TestTrackerStreaming:
-    def _run(self, shared_pair, shared_engine, **tracker_kwargs):
+    def _run(self, shared_pair, shared_engine, rebuild=False):
         cfg = RupsConfig(context_length_m=600.0, window_channels=30)
         rear, front = shared_pair.rear, shared_pair.front
-        tracker = _tracker(cfg, **tracker_kwargs)
+        tracker = _tracker(cfg, rebuild)
         scan, track = rear.scan, rear.estimated
         t0, t1 = shared_pair.query_window(context_length_m=600.0)
         prev_b = 0
@@ -395,25 +384,32 @@ class TestTrackerStreaming:
             resolved += a.estimate.resolved
         assert resolved > 0
 
-    def test_unanchored_stream_update_equals_batch_update(
+    def test_stream_update_equals_anchored_plan_absorb_loop(
         self, shared_pair, shared_engine
     ):
-        _, streamed = self._run(
-            shared_pair, shared_engine, anchored_search=False
-        )
+        """stream_update is plan_update(anchored=True) plus the absorb
+        loop, over own trajectories built cold from each prefix."""
+        _, streamed = self._run(shared_pair, shared_engine)
         cfg = RupsConfig(context_length_m=600.0, window_channels=30)
-        batch = RupsTracker(cfg)
+        split = RupsTracker(cfg)
         rear, front = shared_pair.rear, shared_pair.front
-        resolved = 0
+        resolved = anchored = 0
         for streamed_update, b, trk, t in streamed:
-            own = batch._engine.build_trajectory(rear.scan.slice(0, b), trk)
+            own = split._engine.build_trajectory(rear.scan.slice(0, b), trk)
             other = shared_engine.build_trajectory(
                 front.scan, front.estimated, at_time_s=t
             )
-            batch_update = batch.update(own, other=other)
-            self._assert_updates_identical(streamed_update, batch_update)
-            resolved += batch_update.estimate.resolved
+            plan = split.plan_update(own, other, anchored=True)
+            anchored += plan.anchored
+            while plan.update is None:
+                (estimate,) = split._engine.estimate_relative_distance_batch(
+                    [plan.pair], anchors=[plan.anchor]
+                )
+                split.absorb_update(plan, estimate)
+            self._assert_updates_identical(streamed_update, plan.update)
+            resolved += plan.update.estimate.resolved
         assert resolved > 0
+        assert anchored > 0
 
     def test_anchored_session_locks_and_anchors(self, shared_pair, shared_engine):
         tracker, updates = self._run(shared_pair, shared_engine)
@@ -482,9 +478,8 @@ class TestStreamReset:
         assert u.estimate.resolved
         assert tracker.locked
 
-    @pytest.mark.parametrize("anchored_search", [True, False])
     def test_reset_continuation_bitwise_matches_rebuild(
-        self, shared_pair, shared_engine, anchored_search
+        self, shared_pair, shared_engine
     ):
         """A mid-stream reset() must not disturb prefix equivalence.
 
@@ -495,7 +490,7 @@ class TestStreamReset:
 
         def run(rebuild=False):
             rear, front = shared_pair.rear, shared_pair.front
-            tracker = _tracker(self.CFG, rebuild, anchored_search=anchored_search)
+            tracker = _tracker(self.CFG, rebuild)
             scan, track = rear.scan, rear.estimated
             t0, t1 = shared_pair.query_window(context_length_m=600.0)
             times = [float(t) for t in np.arange(t0, t1, 10.0)]

@@ -14,8 +14,6 @@ odometry quality — a real effect the evaluation inherits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.core.trajectory import GeoTrajectory, GsmTrajectory
@@ -97,19 +95,6 @@ def bind_scan(
     return interpolate_missing(trajectory) if interpolate else trajectory
 
 
-@dataclass(frozen=True)
-class _ParityBins:
-    """One window-start-parity's view of the binned measurement stream."""
-
-    times: np.ndarray
-    chans: np.ndarray
-    rssi: np.ndarray
-    sums: np.ndarray
-    counts: np.ndarray
-    by_bin: np.ndarray
-    bin_starts: np.ndarray
-
-
 def _grown_1d(buf: np.ndarray, used: int, extra: int) -> np.ndarray:
     """``buf`` with room for ``used + extra`` entries (amortised doubling)."""
     need = used + extra
@@ -132,15 +117,15 @@ def _grown_cols(buf: np.ndarray, used: int, need: int) -> np.ndarray:
 
 
 class _ParityState:
-    """Growable per-parity binning state behind an extendable index.
+    """Growable binning state of one window-start parity.
 
     ``times``/``chans``/``rssi``/``bins`` hold the in-grid measurements
-    in stream order (first ``n`` entries of capacity-doubled buffers);
-    ``sums``/``counts``/``bin_starts`` are the served aggregates, also
-    over-allocated.  ``pend_*`` hold measurements whose estimated
-    distance rounds *past* the current mark grid — the grid only grows
-    at the end, so they are replayed (still in stream order) once the
-    track reaches their mark.
+    sorted by bin, each bin's in stream order (first ``n`` entries of
+    capacity-doubled buffers); ``sums``/``counts``/``bin_starts`` are
+    the served aggregates, also over-allocated.  ``pend_*`` hold
+    measurements whose estimated distance rounds *past* the current
+    mark grid — the grid only grows at the end, so they are replayed
+    (still in stream order) once the track reaches their mark.
     """
 
     __slots__ = (
@@ -148,6 +133,17 @@ class _ParityState:
         "sums", "counts", "bin_starts",
         "pend_times", "pend_chans", "pend_rssi", "pend_bins",
     )
+
+    def __init__(self, empty: ScanStream) -> None:
+        n_channels = empty.plan.n_channels
+        self.times = self.pend_times = empty.times_s
+        self.chans = self.pend_chans = empty.channel_indices
+        self.rssi = self.pend_rssi = empty.rssi_dbm
+        self.bins = self.pend_bins = np.empty(0, dtype=np.int64)
+        self.n = 0
+        self.sums = np.empty((n_channels, 0))
+        self.counts = np.empty((n_channels, 0), dtype=np.int64)
+        self.bin_starts = np.zeros(1, dtype=np.int64)
 
 
 class DriveBindingIndex:
@@ -157,25 +153,29 @@ class DriveBindingIndex:
     instant, yet the binding grid is anchored to whole multiples of
     ``spacing_m`` (see :meth:`EstimatedTrack.geo_trajectory`), so every
     query's marks are a contiguous slice of one global grid.  This index
-    bins the full drive once — per-mark power sums/counts, mark
-    timestamps and headings — and answers each query by slicing its
-    context window out, bit-identical to a fresh ``bind_scan`` call:
+    bins the drive once — per-mark power sums/counts, mark timestamps
+    and headings — and answers each query by slicing its context window
+    out, bit-identical to a fresh ``bind_scan`` call:
 
     * all but the window's most recent mark aggregate exactly the same
       measurements in the same order regardless of the query instant;
     * the most recent mark is the only one a measurement taken *after*
       the query instant can round into (estimated distance is
       non-decreasing in time), so that single column is re-aggregated
-      from the time-filtered per-bin measurement list;
+      from the time-filtered measurements of its bin;
     * ``np.round`` is round-half-to-even, so a measurement exactly
       halfway between marks bins differently depending on the *parity*
-      of the window's first mark index — the index therefore keeps two
-      binnings, one per parity, and serves each window from the one
+      of the window's first mark index — the index therefore keeps one
+      growable state per parity and serves each window from the one
       matching its start.
 
-    Construction is one pass over the stream, queries are O(window); the
-    equality with :func:`bind_scan` is enforced by the differential
-    suite in ``tests/test_core_binding_cache.py``.
+    The constructor starts both states empty and folds its whole stream
+    through the same code :meth:`extend` runs for each newer chunk, so a
+    built index and a grown one are one structure.  Construction is one
+    pass over the stream, queries are O(window); the equality with
+    :func:`bind_scan` is enforced by the differential suites in
+    ``tests/test_core_binding_cache.py`` and
+    ``tests/test_streaming_prefix.py``.
     """
 
     @classmethod
@@ -216,63 +216,29 @@ class DriveBindingIndex:
     ) -> None:
         if spacing_m <= 0:
             raise ValueError("spacing_m must be positive")
-        self.scan = scan
         self.track = track
         self.spacing_m = float(spacing_m)
+        self._plan = scan.plan
         self._n_channels = scan.plan.n_channels
-        # Lazily materialised by the first extend(); None while batch-only.
-        self._states: dict[int, _ParityState] | None = None
-
         # Global mark grid: every geo_trajectory() starts/ends on whole
         # multiples of spacing_m inside [first, last] odometer readings.
-        d_first = float(track.distance_m[0])
-        d_last = float(track.distance_m[-1])
-        self._mark0 = int(np.ceil(d_first / spacing_m))
-        mark_end = int(np.floor(d_last / spacing_m))
-        n_marks = max(mark_end - self._mark0 + 1, 0)
-        self._n_marks = n_marks
-
-        marks = (self._mark0 + np.arange(n_marks)) * spacing_m
-        t_marks = np.asarray(track.time_at_distance(marks), dtype=float)
-        self._t_marks = np.maximum.accumulate(t_marks)
-        self._headings = np.asarray(track.heading_at(self._t_marks), dtype=float)
-
-        # Bin every measurement once per window-start parity, keeping
-        # stream order so bin sums accumulate identically.  Within one
-        # parity class round-half-even lands every half-way measurement
-        # in the same bin, so one anchor per parity stands in for every
-        # grid-aligned window start of that parity.
-        dist = np.asarray(track.distance_at(scan.times_s), dtype=float)
-        self._variants: dict[int, _ParityBins] = {}
-        for parity in (0, 1):
-            anchor = self._mark0 + ((self._mark0 % 2) != parity)
-            mark_f = (dist - anchor * spacing_m) / spacing_m
-            bins = np.round(mark_f).astype(np.int64) + (anchor - self._mark0)
-            in_grid = (bins >= 0) & (bins < n_marks)
-            times = scan.times_s[in_grid]
-            chans = scan.channel_indices[in_grid]
-            rssi = scan.rssi_dbm[in_grid]
-            bins = bins[in_grid]
-
-            flat = chans * max(n_marks, 1) + bins
-            sums = np.bincount(
-                flat, weights=rssi, minlength=self._n_channels * max(n_marks, 1)
-            ).reshape(self._n_channels, max(n_marks, 1))[:, :n_marks]
-            counts = np.bincount(
-                flat, minlength=self._n_channels * max(n_marks, 1)
-            ).reshape(self._n_channels, max(n_marks, 1))[:, :n_marks]
-
-            # Stable per-bin measurement lists for the last-mark correction.
-            order = np.argsort(bins, kind="stable")
-            self._variants[parity] = _ParityBins(
-                times=times,
-                chans=chans,
-                rssi=rssi,
-                sums=sums,
-                counts=counts,
-                by_bin=order,
-                bin_starts=np.searchsorted(bins[order], np.arange(n_marks + 1)),
+        self._mark0 = int(np.ceil(float(track.distance_m[0]) / spacing_m))
+        self._n_marks = 0
+        self._tbuf = self._hbuf = np.empty(0)
+        empty = scan.slice(0, 0)
+        self._states = {parity: _ParityState(empty) for parity in (0, 1)}
+        self._last_time = -np.inf
+        # Any stream can be built; only one in time order within the
+        # track can be grown, because its binned distances are final.
+        self._refusal: str | None = None
+        if len(scan) and float(scan.times_s[-1]) > float(track.times_s[-1]):
+            self._refusal = (
+                "cannot extend: scan reaches beyond the track; its binned "
+                "distances would change once the track grows"
             )
+        elif np.any(np.diff(scan.times_s) < 0):
+            self._refusal = "cannot extend: scan times are not sorted"
+        self._fold(scan, track)
 
     def bind(
         self,
@@ -315,17 +281,18 @@ class DriveBindingIndex:
         if lo < 0 or hi > self._n_marks:
             raise ValueError("query window escapes the drive's mark grid")
 
-        pb = self._variants[first % 2]
-        sums = pb.sums[:, lo:hi].copy()
-        counts = pb.counts[:, lo:hi].copy()
+        st = self._states[first % 2]
+        sums = st.sums[:, lo:hi].copy()
+        counts = st.counts[:, lo:hi].copy()
         # Only the most recent mark can have collected measurements taken
         # after t_now; re-aggregate it from its time-filtered bin.
-        sel = pb.by_bin[pb.bin_starts[hi - 1] : pb.bin_starts[hi]]
-        sel = sel[pb.times[sel] <= t_now]
+        b0, b1 = st.bin_starts[hi - 1], st.bin_starts[hi]
+        recent = st.times[b0:b1] <= t_now
+        chans = st.chans[b0:b1][recent]
         sums[:, -1] = np.bincount(
-            pb.chans[sel], weights=pb.rssi[sel], minlength=self._n_channels
+            chans, weights=st.rssi[b0:b1][recent], minlength=self._n_channels
         )
-        counts[:, -1] = np.bincount(pb.chans[sel], minlength=self._n_channels)
+        counts[:, -1] = np.bincount(chans, minlength=self._n_channels)
 
         with np.errstate(invalid="ignore", divide="ignore"):
             power = sums / counts
@@ -344,64 +311,6 @@ class DriveBindingIndex:
         )
         return interpolate_missing(trajectory) if interpolate else trajectory
 
-    # -- streaming extension -------------------------------------------
-    def _prepare_extendable(self) -> None:
-        """One-time conversion of the batch-built state to growable form.
-
-        Re-derives each parity's bin assignment for the original scan
-        (deterministic, so bitwise what ``__init__`` computed), checks
-        the stream is distance-monotone — the invariant every increment
-        below leans on — and stashes the beyond-grid measurements the
-        batch constructor filtered out so they can be served once the
-        grid grows over them.
-        """
-        if self._states is not None:
-            return
-        scan, track = self.scan, self.track
-        if len(scan) and float(scan.times_s[-1]) > float(track.times_s[-1]):
-            raise ValueError(
-                "cannot extend: scan reaches beyond the track; its binned "
-                "distances would change once the track grows"
-            )
-        if np.any(np.diff(scan.times_s) < 0):
-            raise ValueError("cannot extend: scan times are not sorted")
-        dist = np.asarray(track.distance_at(scan.times_s), dtype=float)
-        n_marks = self._n_marks
-        states: dict[int, _ParityState] = {}
-        for parity, pb in self._variants.items():
-            anchor = self._mark0 + ((self._mark0 % 2) != parity)
-            mark_f = (dist - anchor * self.spacing_m) / self.spacing_m
-            raw = np.round(mark_f).astype(np.int64) + (anchor - self._mark0)
-            if np.any(np.diff(raw) < 0):
-                raise ValueError(
-                    "cannot extend: estimated distance is not non-decreasing"
-                )
-            in_grid = (raw >= 0) & (raw < n_marks)
-            beyond = raw >= n_marks
-            st = _ParityState()
-            st.n = len(pb.times)
-            if st.n != int(np.count_nonzero(in_grid)):
-                raise ValueError("cannot extend: binned state is inconsistent")
-            st.times = pb.times.copy()
-            st.chans = pb.chans.copy()
-            st.rssi = pb.rssi.copy()
-            st.bins = raw[in_grid]
-            st.sums = pb.sums.copy()
-            st.counts = pb.counts.copy()
-            st.bin_starts = pb.bin_starts.astype(np.int64, copy=True)
-            st.pend_times = scan.times_s[beyond].copy()
-            st.pend_chans = scan.channel_indices[beyond].copy()
-            st.pend_rssi = scan.rssi_dbm[beyond].copy()
-            st.pend_bins = raw[beyond]
-            states[parity] = st
-        self._tbuf = self._t_marks.copy()
-        self._hbuf = self._headings.copy()
-        self._idx = np.arange(
-            max((st.n for st in states.values()), default=0), dtype=np.int64
-        )
-        self._last_time = float(scan.times_s[-1]) if len(scan) else -np.inf
-        self._states = states
-
     def extend(self, chunk: ScanStream, track: EstimatedTrack) -> None:
         """Fold a newer scan chunk (and the extended track) into the index.
 
@@ -409,12 +318,8 @@ class DriveBindingIndex:
         built over the *concatenated* stream and the new track would —
         the prefix-equivalence suite in ``tests/test_streaming_prefix.py``
         holds this bitwise.  Cost is O(appended measurements + changed
-        marks), not O(drive): estimated distance never decreases, so a
-        new measurement can only land in mark columns at or after the
-        last one touched, and only that suffix region is re-aggregated
-        (with a regional ``bincount`` that replays the affected
-        measurements in stream order, keeping float accumulation
-        order — hence bits — identical to a cold build).
+        marks), not O(drive).  Everything is checked before anything
+        changes: a refused chunk leaves the index as it was.
 
         Only ever call this on a *privately constructed* index.  Indices
         obtained via :meth:`for_drive` may be shared process-wide
@@ -430,9 +335,9 @@ class DriveBindingIndex:
             The dead-reckoned track as known now; must extend the
             previously provided track sample-for-sample.
         """
-        self._prepare_extendable()
-        assert self._states is not None
-        plan = self.scan.plan
+        if self._refusal is not None:
+            raise ValueError(self._refusal)
+        plan = self._plan
         if chunk.plan is not plan and not np.array_equal(
             chunk.plan.arfcns, plan.arfcns
         ):
@@ -454,24 +359,34 @@ class DriveBindingIndex:
                 )
             if float(chunk.times_s[-1]) > float(track.times_s[-1]):
                 raise ValueError("chunk reaches beyond the provided track")
+        self._fold(chunk, track)
 
+    def _fold(self, chunk: ScanStream, track: EstimatedTrack) -> None:
+        """Bin ``chunk`` into both parity states and grow the grid to
+        ``track`` — the index's one binning path.
+
+        Estimated distance never decreases along an extendable stream,
+        so a new measurement only lands in mark columns at or after the
+        last one touched, and only that suffix region is re-aggregated,
+        with a regional ``bincount`` that replays its measurements in
+        stream order: float accumulation order, hence bits, stay those
+        of a cold build.
+        """
         spacing = self.spacing_m
         n_old = self._n_marks
         d_last = float(track.distance_m[-1])
         new_n = max(int(np.floor(d_last / spacing)) - self._mark0 + 1, n_old, 0)
 
-        # Grow the mark grid: new mark times continue the running-max
+        # Grow the mark grid: new mark times continue the running max
         # seeded with the last old one (max is associative and exact, so
         # the seeded accumulate matches a cold full-array accumulate).
         if new_n > n_old:
             marks = (self._mark0 + np.arange(n_old, new_n)) * spacing
             t_new = np.asarray(track.time_at_distance(marks), dtype=float)
-            if n_old:
-                t_new = np.maximum.accumulate(
-                    np.concatenate(([self._tbuf[n_old - 1]], t_new))
-                )[1:]
-            else:
-                t_new = np.maximum.accumulate(t_new)
+            seed = self._tbuf[max(n_old - 1, 0) : n_old]
+            t_new = np.maximum.accumulate(np.concatenate((seed, t_new)))[
+                len(seed) :
+            ]
             h_new = np.asarray(track.heading_at(t_new), dtype=float)
             self._tbuf = _grown_1d(self._tbuf, n_old, new_n - n_old)
             self._hbuf = _grown_1d(self._hbuf, n_old, new_n - n_old)
@@ -479,20 +394,35 @@ class DriveBindingIndex:
             self._hbuf[n_old:new_n] = h_new
 
         dist = np.asarray(track.distance_at(chunk.times_s), dtype=float)
-        max_used = 0
         for parity, st in self._states.items():
+            # Within one parity class round-half-even lands every halfway
+            # measurement in the same bin, so one anchor per parity
+            # stands in for every grid-aligned window start of that
+            # parity.
             anchor = self._mark0 + ((self._mark0 % 2) != parity)
-            mark_f = (dist - anchor * spacing) / spacing
-            raw = np.round(mark_f).astype(np.int64) + (anchor - self._mark0)
+            raw = np.round((dist - anchor * spacing) / spacing).astype(
+                np.int64
+            ) + (anchor - self._mark0)
+            times, chans, rssi = (
+                chunk.times_s, chunk.channel_indices, chunk.rssi_dbm
+            )
+            if np.any(np.diff(raw) < 0):
+                # A stream out of distance order is stably sorted by bin,
+                # which keeps each bin's measurements — and so its float
+                # sums — in stream order; it cannot be grown.
+                self._refusal = self._refusal or (
+                    "cannot extend: estimated distance is not non-decreasing"
+                )
+                order = np.argsort(raw, kind="stable")
+                raw, times = raw[order], times[order]
+                chans, rssi = chans[order], rssi[order]
             keep = raw >= 0
             # Pending measurements precede the chunk in stream order and
             # bins are non-decreasing along the stream, so this concat
             # is sorted both by time and by bin.
-            tail_times = np.concatenate([st.pend_times, chunk.times_s[keep]])
-            tail_chans = np.concatenate(
-                [st.pend_chans, chunk.channel_indices[keep]]
-            )
-            tail_rssi = np.concatenate([st.pend_rssi, chunk.rssi_dbm[keep]])
+            tail_times = np.concatenate([st.pend_times, times[keep]])
+            tail_chans = np.concatenate([st.pend_chans, chans[keep]])
+            tail_rssi = np.concatenate([st.pend_rssi, rssi[keep]])
             tail_bins = np.concatenate([st.pend_bins, raw[keep]])
             k = int(np.searchsorted(tail_bins, new_n))
             st.pend_times = tail_times[k:].copy()
@@ -513,7 +443,6 @@ class DriveBindingIndex:
                 c0 = min(int(tail_bins[0]), n_old)
             else:
                 c0 = n_old
-            max_used = max(max_used, st.n)
 
             if new_n > c0:
                 # Re-aggregate only the suffix region [c0, new_n): every
@@ -521,12 +450,12 @@ class DriveBindingIndex:
                 # bin_starts[c0] on, still in stream order.
                 s0 = int(st.bin_starts[c0])
                 seg_bins = st.bins[s0 : st.n] - c0
-                seg_chans = st.chans[s0 : st.n]
-                seg_rssi = st.rssi[s0 : st.n]
                 width = new_n - c0
-                flat = seg_chans * width + seg_bins
+                flat = st.chans[s0 : st.n] * width + seg_bins
                 sums = np.bincount(
-                    flat, weights=seg_rssi, minlength=self._n_channels * width
+                    flat,
+                    weights=st.rssi[s0 : st.n],
+                    minlength=self._n_channels * width,
                 ).reshape(self._n_channels, width)
                 counts = np.bincount(
                     flat, minlength=self._n_channels * width
@@ -540,26 +469,12 @@ class DriveBindingIndex:
                     seg_bins, np.arange(1, width + 1)
                 )
 
-        if len(self._idx) < max_used:
-            self._idx = np.arange(
-                max(max_used, 2 * len(self._idx)), dtype=np.int64
-            )
         self._n_marks = new_n
         self._t_marks = self._tbuf[:new_n]
         self._headings = self._hbuf[:new_n]
         self.track = track
         if len(chunk):
             self._last_time = float(chunk.times_s[-1])
-        for parity, st in self._states.items():
-            self._variants[parity] = _ParityBins(
-                times=st.times[: st.n],
-                chans=st.chans[: st.n],
-                rssi=st.rssi[: st.n],
-                sums=st.sums[:, :new_n],
-                counts=st.counts[:, :new_n],
-                by_bin=self._idx[: st.n],
-                bin_starts=st.bin_starts[: new_n + 1],
-            )
 
 
 def interpolate_missing(trajectory: GsmTrajectory) -> GsmTrajectory:

@@ -248,16 +248,14 @@ class TrajectoryBuilder:
     builder folds each new scan chunk into a private, appendable
     :class:`~repro.core.binding.DriveBindingIndex`
     (:meth:`~repro.core.binding.DriveBindingIndex.extend`) and serves
-    bounded context windows out of it in O(window) per query.  Served
+    its bounded context window out of it in O(window) per query.  Served
     trajectories are **bit-identical** to a cold
     :func:`~repro.core.binding.bind_scan` over the concatenated stream —
     the contract the prefix-equivalence suite in
     ``tests/test_streaming_prefix.py`` enforces.
 
-    Each context length requested through :meth:`trajectory` keeps its
-    own serve chain, the seed of the next serve's incremental gap fill,
-    so a tracker alternating full-context and locked-context builds
-    warms both.
+    The last serve and its raw (uninterpolated) twin form the serve
+    chain: they seed the next serve's incremental gap fill.
 
     :meth:`append` validates before it commits: a rejected chunk leaves
     the builder — binding state, measurement count, served trajectory —
@@ -268,17 +266,12 @@ class TrajectoryBuilder:
     spacing_m:
         Mark spacing (paper: 1 m).
     context_length_m:
-        Default served context length; must be a whole multiple of the
-        spacing (the appendable index cannot serve off-grid windows).
-    interpolate:
-        Fill missing channels per §IV-C on every serve.
+        Served context length; must be a whole multiple of the spacing
+        (the appendable index cannot serve off-grid windows).
     """
 
     def __init__(
-        self,
-        spacing_m: float = 1.0,
-        context_length_m: float = 1000.0,
-        interpolate: bool = True,
+        self, spacing_m: float = 1.0, context_length_m: float = 1000.0
     ) -> None:
         if spacing_m <= 0:
             raise ValueError("spacing_m must be positive")
@@ -289,16 +282,12 @@ class TrajectoryBuilder:
             raise ValueError(
                 "context_length_m must be a whole multiple of spacing_m"
             )
-        self.spacing_m = float(spacing_m)
-        self.context_length_m = float(context_length_m)
-        self.interpolate = bool(interpolate)
+        self._spacing_m = float(spacing_m)
+        self._context_length_m = float(context_length_m)
         self._index = None  # DriveBindingIndex, created on first append
         self._n_measurements = 0
-        # Per-context-length serve chains: length key -> last served
-        # (interpolated) window and its raw (uninterpolated) twin, the
-        # seed for the next serve's incremental gap fill.
-        self._last: dict[float | None, GsmTrajectory] = {}
-        self._last_raw: dict[float | None, GsmTrajectory] = {}
+        self._last_raw: GsmTrajectory | None = None
+        self._last: GsmTrajectory | None = None
 
     @property
     def n_measurements(self) -> int:
@@ -329,48 +318,35 @@ class TrajectoryBuilder:
             from repro.core.binding import DriveBindingIndex
 
             # Private (never shared via for_drive): extend() mutates it.
-            index = DriveBindingIndex(chunk, track, spacing_m=self.spacing_m)
-            # The batch constructor accepts any stream; converting to the
-            # appendable form now runs the streaming checks before the
-            # index is committed, not on the next append.
-            index._prepare_extendable()
+            # The index builds any stream; the empty extend refuses one
+            # it could not grow before the index is kept.
+            index = DriveBindingIndex(chunk, track, spacing_m=self._spacing_m)
+            index.extend(chunk.slice(len(chunk), len(chunk)), track)
             self._index = index
         else:
             # extend() checks everything before it mutates anything.
             self._index.extend(chunk, track)
         self._n_measurements += len(chunk)
 
-    def trajectory(
-        self,
-        at_time_s: float | None = None,
-        length_m: float | None = None,
-    ) -> GsmTrajectory:
+    def trajectory(self, at_time_s: float | None = None) -> GsmTrajectory:
         """The bounded GSM-aware trajectory as known at ``at_time_s``.
 
-        ``length_m`` overrides the default context length (it must be a
-        whole multiple of the spacing).  Raises ``ValueError`` while the
-        drive is still too short for a trajectory, exactly as
-        :func:`~repro.core.binding.bind_scan` would.
+        Raises ``ValueError`` while the drive is still too short for a
+        trajectory, exactly as :func:`~repro.core.binding.bind_scan`
+        would.
         """
         if self._index is None:
             raise ValueError(
                 "not enough travelled distance for a trajectory "
                 "(no measurements appended yet)"
             )
-        length = self.context_length_m if length_m is None else float(length_m)
-        key = None if length_m is None else length
-        new = self._index.bind(
-            at_time_s=at_time_s,
-            context_length_m=length,
-            interpolate=False,
-        )
-        if not self.interpolate:
-            return new
         from repro.core.binding import seed_interpolate_missing
 
-        filled = seed_interpolate_missing(
-            self._last_raw.get(key), self._last.get(key), new
+        raw = self._index.bind(
+            at_time_s=at_time_s,
+            context_length_m=self._context_length_m,
+            interpolate=False,
         )
-        self._last_raw[key] = new
-        self._last[key] = filled
+        filled = seed_interpolate_missing(self._last_raw, self._last, raw)
+        self._last_raw, self._last = raw, filled
         return filled

@@ -104,7 +104,6 @@ class TestBindingIndexExtend:
         trk_a = _truncate(track, 40.0)
         b_a = _chunk_bounds(scan, trk_a)
         index = DriveBindingIndex(scan.slice(0, b_a), trk_a)
-        index._prepare_extendable()
         assert any(len(st.pend_bins) for st in index._states.values()), (
             "fixture regression: no beyond-grid measurements to exercise"
         )

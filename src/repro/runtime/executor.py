@@ -12,11 +12,11 @@ The contract that keeps parallel runs reproducible:
 * **Spawn context.**  Workers are started with the ``spawn`` method on
   every platform: no inherited globals, no fork-unsafe BLAS state, and
   identical worker initialisation everywhere.
-* **Shared statics.**  Large read-only inputs every task needs (signal
-  fields, drive records) go through ``initializer``/``initargs``: they
-  are shipped once per worker instead of once per task.  Workers read
-  them back via :func:`get_shared`; the inline path installs the same
-  statics in-process, so task code is identical under any ``jobs``.
+* **Shared statics.**  Large read-only inputs many tasks need (signal
+  fields, drive records, trajectories) are published once into the
+  executor's spool (:meth:`DeterministicExecutor.publish`) and travel as
+  tiny refs; tasks check them out through :mod:`repro.runtime.shared`,
+  inline and pooled alike, so task code is identical under any ``jobs``.
 * **Metrics, events and spans travel with results.**  Every task —
   inline or pooled — runs against its own task-scoped
   :class:`~repro.obs.metrics.MetricsRegistry`,
@@ -51,41 +51,19 @@ from repro.runtime import shared as shared_store
 __all__ = [
     "DeterministicExecutor",
     "fixed_chunks",
-    "get_shared",
     "resolve_jobs",
 ]
 
-#: Read-only statics installed by the worker initializer (or inline).
-_SHARED: dict[str, Any] = {}
 
-
-def _install_shared(statics: dict[str, Any]) -> None:
-    _SHARED.clear()
-    _SHARED.update(statics)
-
-
-def _init_worker(statics: dict[str, Any], spool_dir: str | None) -> None:
-    """Worker initializer: statics + the executor's shared-statics spool."""
-    _install_shared(statics)
-    if spool_dir is not None:
-        shared_store.attach_spool(spool_dir)
+def _init_worker(spool_dir: str) -> None:
+    """Worker initializer: attach the executor's shared-statics spool."""
+    shared_store.attach_spool(spool_dir)
 
 
 def _warm_task(delay_s: float) -> int:
     """No-op task used by :meth:`DeterministicExecutor.warm_up`."""
     time.sleep(delay_s)
     return os.getpid()
-
-
-def get_shared(name: str) -> Any:
-    """Fetch a shared static installed for the current task wave."""
-    try:
-        return _SHARED[name]
-    except KeyError:
-        raise KeyError(
-            f"shared static {name!r} not installed; pass it via "
-            "DeterministicExecutor(shared={...})"
-        ) from None
 
 
 def _metered_call(
@@ -125,21 +103,14 @@ class DeterministicExecutor:
     jobs:
         Worker processes; ``1`` executes inline (no pool, no pickling),
         ``None``/``0`` uses all cores.
-    shared:
-        Read-only statics shipped once per worker and readable from task
-        functions via :func:`get_shared`.
 
     Use as a context manager; the pool (if any) is created lazily on the
     first parallel wave and torn down on exit.
     """
 
-    def __init__(
-        self, jobs: int | None = 1, shared: dict[str, Any] | None = None
-    ) -> None:
+    def __init__(self, jobs: int | None = 1) -> None:
         self.jobs = resolve_jobs(jobs)
-        self._shared = dict(shared or {})
         self._pool: ProcessPoolExecutor | None = None
-        self._inline_installed = False
         self._spool: str | None = None
         self._previous_spool: str | None = None
         # Waves dispatched so far: part of every task's span context, so
@@ -157,9 +128,6 @@ class DeterministicExecutor:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        if self._inline_installed:
-            _SHARED.clear()
-            self._inline_installed = False
         if self._spool is not None:
             shared_store.attach_spool(self._previous_spool)
             shutil.rmtree(self._spool, ignore_errors=True)
@@ -210,7 +178,7 @@ class DeterministicExecutor:
                 max_workers=self.jobs,
                 mp_context=get_context("spawn"),
                 initializer=_init_worker,
-                initargs=(self._shared, self._spool_dir()),
+                initargs=(self._spool_dir(),),
             )
         return self._pool
 
@@ -239,9 +207,6 @@ class DeterministicExecutor:
             for index in range(len(items))
         ]
         if self.jobs == 1 or len(items) <= 1:
-            if not self._inline_installed:
-                _install_shared(self._shared)
-                self._inline_installed = True
             results = []
             for item, context in zip(items, contexts):
                 result, snapshot, events, spans = _metered_call(
@@ -265,26 +230,6 @@ class DeterministicExecutor:
             recorder.adopt(spans)
             results.append(result)
         return results
-
-    def chunks(self, items: Sequence[Any]) -> list[list[Any]]:
-        """Split ``items`` into up to ``jobs`` contiguous, ordered chunks.
-
-        Chunk boundaries never affect merged results (tasks are pure and
-        the merge is ordered); they only set scheduling granularity.
-        Prefer :func:`fixed_chunks` when the task *batches numerics
-        across a chunk* — these chunks depend on ``jobs``, fixed ones do
-        not.
-        """
-        items = list(items)
-        n_chunks = min(self.jobs, len(items)) or 1
-        base, extra = divmod(len(items), n_chunks)
-        out: list[list[Any]] = []
-        start = 0
-        for i in range(n_chunks):
-            size = base + (1 if i < extra else 0)
-            out.append(items[start : start + size])
-            start += size
-        return out
 
 
 def fixed_chunks(items: Sequence[Any], size: int) -> list[list[Any]]:

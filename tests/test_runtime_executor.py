@@ -5,16 +5,11 @@ import os
 import pytest
 
 from repro.runtime import DeterministicExecutor, resolve_jobs
-from repro.runtime.executor import get_shared
 
 
 # Module level so they pickle into spawn workers.
 def _square(x: int) -> int:
     return x * x
-
-
-def _square_plus_shared(x: int) -> int:
-    return x * x + get_shared("offset")
 
 
 def _pid_task(_: int) -> int:
@@ -36,44 +31,15 @@ class TestResolveJobs:
             resolve_jobs(-1)
 
 
-class TestChunks:
-    def test_contiguous_and_ordered(self):
-        with DeterministicExecutor(jobs=3) as ex:
-            chunks = ex.chunks(list(range(10)))
-        assert [c for chunk in chunks for c in chunk] == list(range(10))
-        assert len(chunks) == 3
-        assert {len(c) for c in chunks} == {3, 4}
-
-    def test_fewer_items_than_jobs(self):
-        with DeterministicExecutor(jobs=8) as ex:
-            chunks = ex.chunks([1, 2])
-        assert chunks == [[1], [2]]
-
-    def test_empty(self):
-        with DeterministicExecutor(jobs=4) as ex:
-            assert ex.chunks([]) == [[]]
-
-
 class TestInlineExecution:
     def test_map_ordered(self):
         with DeterministicExecutor(jobs=1) as ex:
             assert ex.map_ordered(_square, range(6)) == [0, 1, 4, 9, 16, 25]
 
-    def test_shared_statics(self):
-        with DeterministicExecutor(jobs=1, shared={"offset": 7}) as ex:
-            assert ex.map_ordered(_square_plus_shared, [2, 3]) == [11, 16]
-
-    def test_shared_statics_cleared_on_close(self):
-        with DeterministicExecutor(jobs=1, shared={"offset": 7}) as ex:
-            ex.map_ordered(_square_plus_shared, [1])
-        with pytest.raises(KeyError, match="offset"):
-            get_shared("offset")
-
     def test_single_item_runs_inline_even_with_many_jobs(self):
-        # One item never justifies a pool; the inline path must still
-        # install the shared statics.
-        with DeterministicExecutor(jobs=4, shared={"offset": 1}) as ex:
-            assert ex.map_ordered(_square_plus_shared, [5]) == [26]
+        # One item never justifies a pool.
+        with DeterministicExecutor(jobs=4) as ex:
+            assert ex.map_ordered(_pid_task, [5]) == [os.getpid()]
 
 
 class TestParallelExecution:
@@ -81,12 +47,6 @@ class TestParallelExecution:
         with DeterministicExecutor(jobs=2) as ex:
             assert ex.map_ordered(_square, range(8)) == [
                 x * x for x in range(8)
-            ]
-
-    def test_shared_statics_reach_workers(self):
-        with DeterministicExecutor(jobs=2, shared={"offset": 100}) as ex:
-            assert ex.map_ordered(_square_plus_shared, [1, 2, 3, 4]) == [
-                101, 104, 109, 116,
             ]
 
     def test_tasks_run_in_other_processes(self):

@@ -1,7 +1,7 @@
 """t-fleet service-path contract: query latency and throughput.
 
 Replays a bench-scale fleet (20 vehicles, Poisson queries) through the
-sharded :class:`~repro.fleet.FleetStore` + batched
+resident :class:`~repro.fleet.FleetStore` + batched
 :class:`~repro.fleet.FleetService` request path and records what a
 deployment would alert on: query latency percentiles (submit -> answer,
 from the service's local wall-clock registry) and answered queries per

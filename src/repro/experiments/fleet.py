@@ -77,7 +77,7 @@ class FleetReplayResult:
             self.rows,
             title=(
                 "t-fleet — city-scale RDF service replay "
-                "(sharded resident builders, batched pair queries)"
+                "(resident builders, batched pair queries)"
             ),
         )
 
@@ -93,7 +93,6 @@ def fleet_replay(
     jobs: int | None = 1,
     chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
     shared_statics: bool = True,
-    n_shards: int = 8,
     executor: DeterministicExecutor | None = None,
     flight=None,
 ) -> FleetReplayResult:
@@ -209,7 +208,7 @@ def fleet_replay(
             )
         ticks = event_grid(t_start, t_end, update_period_s)
 
-        store = FleetStore(config, n_shards=n_shards)
+        store = FleetStore(config)
         service = FleetService(
             store,
             chunk_pairs=chunk_pairs,

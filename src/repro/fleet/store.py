@@ -1,25 +1,18 @@
-"""Sharded resident state for a fleet of tracked vehicles.
+"""Resident state for a fleet of tracked vehicles.
 
-One city-scale deployment holds thousands of vehicles' streaming state;
-a flat dict would serialise every touch behind one lock in a real
-service.  The store therefore shards by vehicle id — with a *stable*
-hash (``zlib.crc32``), never the interpreter's randomised ``hash()``,
-so shard assignment is reproducible across processes and runs — and
-keeps, per vehicle, the resident
+The store keeps, per vehicle, the resident
 :class:`~repro.core.trajectory.TrajectoryBuilder` the streaming
-pipeline feeds.  Tracking sessions are per *ordered* pair (``own``
-tracks ``other``) and live in the owning vehicle's shard.
+pipeline feeds, and one tracking session per *ordered* pair (``own``
+tracks ``other``).
 
-The store itself is deliberately single-process and unlocked: the
-deterministic fleet service runs all state transitions in the
-submitting process and fans only pure searches out to workers, so the
-shards here encode placement (which a distributed port would turn into
-per-shard processes), not concurrency.
+It is deliberately single-process and unlocked — one dict of slots and
+one of sessions: the deterministic fleet service runs all state
+transitions in the submitting process and fans only pure searches out
+to workers.
 """
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 
 from repro.core.config import RupsConfig
@@ -54,48 +47,24 @@ class VehicleSlot:
 
 
 class FleetStore:
-    """Sharded per-vehicle builders and per-pair tracking sessions.
+    """Per-vehicle builders and per-pair tracking sessions.
 
     Parameters
     ----------
     config:
         RUPS configuration shared by every session; must have a bounded
         ``context_length_m`` (the builders need a serving window).
-    n_shards:
-        Shard count; ids are placed by ``crc32(id) % n_shards``.
 
     Every session is a ``RupsTracker(config)`` with the tracker's
     default lock window, failure ladder and staleness budget.
     """
 
-    def __init__(
-        self,
-        config: RupsConfig | None = None,
-        n_shards: int = 8,
-    ) -> None:
-        if n_shards < 1:
-            raise ValueError("n_shards must be >= 1")
+    def __init__(self, config: RupsConfig | None = None) -> None:
         self.config = config or RupsConfig()
         if self.config.context_length_m is None:
             raise ValueError("FleetStore requires a bounded context_length_m")
-        self.n_shards = int(n_shards)
-        self._shards: list[dict[str, VehicleSlot]] = [
-            {} for _ in range(self.n_shards)
-        ]
-        self._sessions: list[dict[tuple[str, str], RupsTracker]] = [
-            {} for _ in range(self.n_shards)
-        ]
-
-    # -- placement -----------------------------------------------------
-    def shard_of(self, vehicle_id: str) -> int:
-        """Stable shard index of ``vehicle_id``.
-
-        ``zlib.crc32`` rather than ``hash()``: the built-in string hash
-        is salted per interpreter (``PYTHONHASHSEED``), which would make
-        shard placement — and any placement-derived metric — differ
-        between runs and between parent and spawn workers.
-        """
-        return zlib.crc32(str(vehicle_id).encode()) % self.n_shards
+        self._slots: dict[str, VehicleSlot] = {}
+        self._sessions: dict[tuple[str, str], RupsTracker] = {}
 
     # -- ingestion -----------------------------------------------------
     def ingest(
@@ -110,8 +79,7 @@ class FleetStore:
         admitted on their first *accepted* ingest: a chunk the builder
         rejects (``ValueError``) changes nothing, admission included.
         """
-        shard = self._shards[self.shard_of(vehicle_id)]
-        slot = shard.get(vehicle_id)
+        slot = self._slots.get(vehicle_id)
         admit = slot is None
         if admit:
             slot = VehicleSlot(
@@ -123,7 +91,7 @@ class FleetStore:
             )
         slot.builder.append(chunk, track)
         if admit:
-            shard[vehicle_id] = slot
+            self._slots[vehicle_id] = slot
             inc("fleet.store.vehicles_admitted")
             set_gauge("fleet.store.vehicles", self.n_vehicles)
         slot.n_chunks += 1
@@ -135,11 +103,11 @@ class FleetStore:
     # -- reads ---------------------------------------------------------
     def has(self, vehicle_id: str) -> bool:
         """Whether the vehicle has ever ingested."""
-        return vehicle_id in self._shards[self.shard_of(vehicle_id)]
+        return vehicle_id in self._slots
 
     def slot(self, vehicle_id: str) -> VehicleSlot:
         """The vehicle's resident slot (``KeyError`` when unknown)."""
-        return self._shards[self.shard_of(vehicle_id)][vehicle_id]
+        return self._slots[vehicle_id]
 
     def trajectory(
         self, vehicle_id: str, at_time_s: float | None = None
@@ -154,20 +122,13 @@ class FleetStore:
         return self.slot(vehicle_id).builder.trajectory(at_time_s=at_time_s)
 
     def vehicles(self) -> list[str]:
-        """All admitted vehicle ids, sorted (placement-independent)."""
-        out: list[str] = []
-        for shard in self._shards:
-            out.extend(shard)
-        return sorted(out)
+        """All admitted vehicle ids, sorted."""
+        return sorted(self._slots)
 
     @property
     def n_vehicles(self) -> int:
         """Number of admitted vehicles."""
-        return sum(len(shard) for shard in self._shards)
-
-    def shard_sizes(self) -> list[int]:
-        """Vehicles per shard (balance diagnostics)."""
-        return [len(shard) for shard in self._shards]
+        return len(self._slots)
 
     # -- sessions ------------------------------------------------------
     def session(self, own_id: str, other_id: str) -> RupsTracker:
@@ -175,14 +136,13 @@ class FleetStore:
 
         Ordered: ``(a, b)`` and ``(b, a)`` are distinct sessions (each
         side tracks the other against its *own* trajectory).  Created on
-        first use, resident in the owning vehicle's shard thereafter.
+        first use, resident thereafter.
         """
-        sessions = self._sessions[self.shard_of(own_id)]
         key = (str(own_id), str(other_id))
-        tracker = sessions.get(key)
+        tracker = self._sessions.get(key)
         if tracker is None:
             tracker = RupsTracker(self.config)
-            sessions[key] = tracker
+            self._sessions[key] = tracker
             inc("fleet.store.sessions_opened")
             set_gauge("fleet.store.sessions", self.n_sessions)
         return tracker
@@ -190,25 +150,16 @@ class FleetStore:
     @property
     def n_sessions(self) -> int:
         """Number of open tracking sessions."""
-        return sum(len(sessions) for sessions in self._sessions)
+        return len(self._sessions)
 
     def drop_vehicle(self, vehicle_id: str) -> None:
         """Forget a vehicle: its slot and every session involving it.
 
-        A no-op for unknown vehicles.  Sessions *owned by* the vehicle
-        live in its shard; sessions where it is the tracked neighbour
-        are scattered, so all shards are swept.
+        A no-op for unknown vehicles.
         """
-        shard = self._shards[self.shard_of(vehicle_id)]
-        if shard.pop(vehicle_id, None) is not None:
+        if self._slots.pop(vehicle_id, None) is not None:
             inc("fleet.store.vehicles_dropped")
             set_gauge("fleet.store.vehicles", self.n_vehicles)
-        for sessions in self._sessions:
-            stale = [
-                key
-                for key in sessions
-                if key[0] == vehicle_id or key[1] == vehicle_id
-            ]
-            for key in stale:
-                del sessions[key]
+        for key in [key for key in self._sessions if vehicle_id in key]:
+            del self._sessions[key]
         set_gauge("fleet.store.sessions", self.n_sessions)

@@ -3,12 +3,14 @@
 ``submit()`` enqueues a pair query; ``tick()`` answers everything
 pending in one deterministic sweep:
 
-1. **Plan** (parent, serial): every query serves its two trajectories
-   out of the store's resident builders and runs
+1. **Plan** (parent, serial): a query serves its two trajectories out
+   of the store's resident builders and runs
    :meth:`RupsTracker.plan_update` — context bookkeeping, staleness
    decision, mode selection, trimming.  Queries that fail to serve
    (unknown vehicle, drive still too short) become error estimates here
-   and never reach a search.
+   and never reach a search.  A session holds one undecided plan at a
+   time: a second query for the same ordered pair waits, and is planned
+   in the round after the first is decided.
 2. **Search** (workers, pure): all pending pairs are split into
    fixed-size chunks (:func:`~repro.runtime.fixed_chunks` — layout set
    by ``chunk_pairs``, never by ``jobs``, because the cross-pair batched
@@ -21,9 +23,10 @@ pending in one deterministic sweep:
 3. **Absorb** (parent, serial, submission order): each estimate folds
    back via :meth:`RupsTracker.absorb_update`, which decides every rung
    of the tracking ladder.  A plan it leaves undecided names its next
-   search, and steps 2–3 repeat over those plans until every query is
-   answered — the same loop :meth:`RupsTracker.update` runs for one
-   session.
+   search, and steps 1–3 repeat — planning the queries that waited on a
+   now-decided session, searching every undecided plan — until every
+   query is answered: the same loop consecutive
+   :meth:`RupsTracker.update` calls run for one session.
 
 Because every state transition happens in the submitting process and
 the searches are pure, results, merged (invariant) metrics and the
@@ -276,13 +279,14 @@ class FleetService:
         """Answer every pending query; results in submission order.
 
         ``at_time_s`` bounds the served trajectories (``None`` = all
-        ingested data).  After planning, the tick runs rounds: one
-        batched search over every undecided plan, then
-        :meth:`RupsTracker.absorb_update` in submission order, until
-        every plan is decided.  Every session absorbs its results before
-        the next tick, so queries against one pair in successive ticks
-        walk the tracker's ladder exactly as a dedicated
-        :meth:`RupsTracker.update` loop would.
+        ingested data).  The tick runs rounds until every query is
+        answered: plan each query that may start, run one batched search
+        over every undecided plan, then :meth:`RupsTracker.absorb_update`
+        in submission order.  A session holds at most one undecided
+        plan: its later query in the same tick is planned in the round
+        after its earlier one is decided.  So queries against one pair,
+        within a tick and across ticks, walk the tracker's ladder
+        exactly as a dedicated :meth:`RupsTracker.update` loop would.
         """
         tickets, self._pending = self._pending, []
         if not tickets:
@@ -300,56 +304,39 @@ class FleetService:
         links: list[list[str]] = [[] for _ in tickets]
 
         with trace("fleet.tick", attrs=(("queries", len(tickets)),)):
-            # Phase 1 — plan (serial, state-mutating).
             results: list[FleetEstimate | None] = [None] * len(tickets)
             plans: list[TrackerPlan | None] = [None] * len(tickets)
-            searches: list[int] = []
-            with trace("fleet.plan") as plan_sid:
-                for i, ticket in enumerate(tickets):
-                    links[i].append(plan_sid)
-                    q = ticket.query
-                    own, err = self._serve(q.own_id, at_time_s)
-                    other = None
-                    if err is None:
-                        other, err = self._serve(q.other_id, at_time_s)
-                    if err is not None:
-                        inc(f"fleet.queries.rejected.{err}")
-                        with use_query_id(q.query_id):
-                            emit(
-                                "fleet.query",
-                                own=q.own_id,
-                                other=q.other_id,
-                                resolved=False,
-                                error=err,
-                            )
-                        results[i] = FleetEstimate(
-                            query_id=q.query_id,
-                            own_id=q.own_id,
-                            other_id=q.other_id,
-                            distance_m=None,
-                            resolved=False,
-                            mode="none",
-                            locked=False,
-                            degraded=True,
-                            error=err,
-                        )
-                        continue
-                    tracker = self.store.session(q.own_id, q.other_id)
-                    with use_query_id(q.query_id):
-                        plan = tracker.plan_update(
-                            own, other, context_age_s=q.context_age_s
-                        )
-                    plans[i] = plan
-                    if plan.update is not None:
-                        results[i] = self._from_update(q, plan.update)
-                    else:
-                        searches.append(i)
-
-            # Phases 2 and 3, one round per rung of the ladder: search
-            # every undecided plan (pure, batched, fanned out), then
-            # absorb in submission order (serial, state-mutating).
-            pending, rounds = searches, 0
-            while pending:
+            pairs = [(t.query.own_id, t.query.other_id) for t in tickets]
+            waiting = list(range(len(tickets)))
+            pending: list[int] = []
+            rounds = searched = 0
+            while True:
+                # Plan (serial, state-mutating) every waiting query whose
+                # session has no undecided plan.
+                if waiting:
+                    busy = {pairs[i] for i in pending}
+                    later: list[int] = []
+                    with trace("fleet.plan", attrs=(("round", rounds),)) as plan_sid:
+                        for i in waiting:
+                            if pairs[i] in busy:
+                                later.append(i)
+                                continue
+                            links[i].append(plan_sid)
+                            planned = self._plan(tickets[i].query, at_time_s)
+                            if isinstance(planned, FleetEstimate):
+                                results[i] = planned
+                            else:
+                                plans[i] = planned
+                                pending.append(i)
+                                busy.add(pairs[i])
+                                searched += 1
+                    waiting = later
+                    pending.sort()
+                if not pending:
+                    break
+                # Search every undecided plan (pure, batched, fanned
+                # out), then absorb in submission order (serial,
+                # state-mutating): one round per rung of the ladder.
                 estimates, chunk_sids = self._batched_estimates(
                     [plans[i] for i in pending],
                     [tickets[i].query.query_id for i in pending],
@@ -399,7 +386,7 @@ class FleetService:
         _log.debug(
             "fleet tick: queries=%d searches=%d rounds=%d",
             len(tickets),
-            len(searches),
+            searched,
             rounds,
         )
         if self.flight is not None:
@@ -407,6 +394,47 @@ class FleetService:
         return out
 
     # -- internals -----------------------------------------------------
+    def _plan(
+        self, q: FleetQuery, at_time_s: float | None
+    ) -> TrackerPlan | FleetEstimate:
+        """Serve ``q``'s two trajectories and plan its session's period.
+
+        Returns the answer when no search is needed (the query cannot be
+        served — unknown vehicle, drive still too short — or the plan is
+        already decided), otherwise the undecided plan.
+        """
+        own, err = self._serve(q.own_id, at_time_s)
+        other = None
+        if err is None:
+            other, err = self._serve(q.other_id, at_time_s)
+        if err is not None:
+            inc(f"fleet.queries.rejected.{err}")
+            with use_query_id(q.query_id):
+                emit(
+                    "fleet.query",
+                    own=q.own_id,
+                    other=q.other_id,
+                    resolved=False,
+                    error=err,
+                )
+            return FleetEstimate(
+                query_id=q.query_id,
+                own_id=q.own_id,
+                other_id=q.other_id,
+                distance_m=None,
+                resolved=False,
+                mode="none",
+                locked=False,
+                degraded=True,
+                error=err,
+            )
+        tracker = self.store.session(q.own_id, q.other_id)
+        with use_query_id(q.query_id):
+            plan = tracker.plan_update(own, other, context_age_s=q.context_age_s)
+        if plan.update is not None:
+            return self._from_update(q, plan.update)
+        return plan
+
     def _serve(
         self, vehicle_id: str, at_time_s: float | None
     ) -> tuple[GsmTrajectory | None, str | None]:

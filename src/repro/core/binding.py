@@ -10,6 +10,9 @@ distance" (the channel-7-at-l5 example of Fig 6).
 The binding grid is *estimated* distance (the vehicle's own odometry),
 which is exactly what makes the resolved relative distances sensitive to
 odometry quality — a real effect the evaluation inherits.
+
+:class:`DriveBindingIndex` serves what :func:`bind_scan` builds from one
+growable whole-drive binning whose gap fill stays resident.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ __all__ = [
     "DriveBindingIndex",
     "bind_scan",
     "interpolate_missing",
-    "seed_interpolate_missing",
 ]
 
 
@@ -126,12 +128,20 @@ class _ParityState:
     measurements whose estimated distance rounds *past* the current
     mark grid — the grid only grows at the end, so they are replayed
     (still in stream order) once the track reaches their mark.
+
+    ``filled`` is the grid as :func:`interpolate_missing` fills it (a
+    row's gaps after its last measured mark, which every window
+    re-fills, may hold NaN), refreshed by ``bind()`` for ``fill_n``
+    columns and ``fill_count`` measurements.  No fold changes a column
+    before ``fill_frozen``; ``anchors`` holds each row's last measured
+    column before it (-1: none), up to which the row's fill is final.
     """
 
     __slots__ = (
         "times", "chans", "rssi", "bins", "n",
         "sums", "counts", "bin_starts",
         "pend_times", "pend_chans", "pend_rssi", "pend_bins",
+        "filled", "fill_n", "fill_count", "fill_frozen", "anchors",
     )
 
     def __init__(self, empty: ScanStream) -> None:
@@ -144,6 +154,40 @@ class _ParityState:
         self.sums = np.empty((n_channels, 0))
         self.counts = np.empty((n_channels, 0), dtype=np.int64)
         self.bin_starts = np.zeros(1, dtype=np.int64)
+        self.filled = np.empty((n_channels, 0))
+        self.fill_n = self.fill_count = self.fill_frozen = 0
+        self.anchors = np.full(n_channels, -1, dtype=np.int64)
+
+    def refresh_fill(self, n_marks: int) -> None:
+        """Bring ``filled`` up to the first ``n_marks`` grid columns.
+
+        Columns before ``fill_frozen`` have not changed since the last
+        refresh.  A row measured from there on is re-filled from its
+        anchor on, because its gaps after the anchor are the only ones
+        whose brackets can have moved; any other row only gained
+        trailing gaps.
+        """
+        if self.fill_n == n_marks and self.fill_count == self.n:
+            return
+        f0 = self.fill_frozen
+        counts = self.counts[:, f0:n_marks]
+        measured = counts > 0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            block = self.sums[:, f0:n_marks] / counts
+        block[~measured] = np.nan
+        self.filled = _grown_cols(self.filled, self.fill_n, n_marks)
+        if f0 == 0:
+            self.filled[:, :n_marks] = _interpolated(block)
+        else:
+            self.filled[:, f0:n_marks] = block
+            rows = np.flatnonzero(measured.any(axis=1))
+            _refill(self.filled, self.counts, rows, self.anchors[rows] + 1, n_marks)
+        frozen = int(self.bins[self.n - 1]) if self.n else 0
+        if frozen > f0:
+            seen = measured[:, : frozen - f0]
+            last = frozen - 1 - seen[:, ::-1].argmax(axis=1)
+            self.anchors = np.where(seen.any(axis=1), last, self.anchors)
+        self.fill_n, self.fill_count, self.fill_frozen = n_marks, self.n, frozen
 
 
 class DriveBindingIndex:
@@ -171,9 +215,13 @@ class DriveBindingIndex:
 
     The constructor starts both states empty and folds its whole stream
     through the same code :meth:`extend` runs for each newer chunk, so a
-    built index and a grown one are one structure.  Construction is one
-    pass over the stream, queries are O(window); the equality with
-    :func:`bind_scan` is enforced by the differential suites in
+    built index and a grown one are one structure.  Each state also
+    keeps its grid gap-filled (one float per cell), refreshed by
+    :meth:`bind` over only the columns folded since, so a query copies
+    its window out and re-fills only the window's edges (and must not
+    run on two threads at once).  Construction is one pass over the
+    stream, queries are O(window); the equality with :func:`bind_scan`
+    is enforced by the differential suites in
     ``tests/test_core_binding_cache.py`` and
     ``tests/test_streaming_prefix.py``.
     """
@@ -246,7 +294,8 @@ class DriveBindingIndex:
         context_length_m: float | None = None,
         interpolate: bool = True,
     ) -> GsmTrajectory:
-        """The trajectory :func:`bind_scan` would build at ``at_time_s``."""
+        """The trajectory :func:`bind_scan` would build at ``at_time_s``;
+        it owns its arrays, so a later :meth:`extend` leaves it as is."""
         track = self.track
         spacing = self.spacing_m
         t_now = float(track.times_s[-1] if at_time_s is None else at_time_s)
@@ -282,21 +331,26 @@ class DriveBindingIndex:
             raise ValueError("query window escapes the drive's mark grid")
 
         st = self._states[first % 2]
-        sums = st.sums[:, lo:hi].copy()
-        counts = st.counts[:, lo:hi].copy()
+        if interpolate:
+            st.refresh_fill(self._n_marks)
+            power = st.filled[:, lo:hi].copy()
+        else:
+            with np.errstate(invalid="ignore", divide="ignore"):
+                power = st.sums[:, lo:hi] / st.counts[:, lo:hi]
+            power[st.counts[:, lo:hi] == 0] = np.nan
         # Only the most recent mark can have collected measurements taken
         # after t_now; re-aggregate it from its time-filtered bin.
         b0, b1 = st.bin_starts[hi - 1], st.bin_starts[hi]
         recent = st.times[b0:b1] <= t_now
         chans = st.chans[b0:b1][recent]
-        sums[:, -1] = np.bincount(
-            chans, weights=st.rssi[b0:b1][recent], minlength=self._n_channels
-        )
-        counts[:, -1] = np.bincount(chans, minlength=self._n_channels)
-
+        counts = np.bincount(chans, minlength=self._n_channels)
         with np.errstate(invalid="ignore", divide="ignore"):
-            power = sums / counts
-        power[counts == 0] = np.nan
+            power[:, -1] = np.bincount(
+                chans, weights=st.rssi[b0:b1][recent], minlength=self._n_channels
+            ) / counts
+        power[counts == 0, -1] = np.nan
+        if interpolate:
+            _fill_edges(power, st.counts[:, lo : hi - 1] > 0, counts > 0)
 
         geo = GeoTrajectory(
             timestamps_s=self._t_marks[lo:hi],
@@ -304,12 +358,11 @@ class DriveBindingIndex:
             spacing_m=spacing,
             start_distance_m=first * spacing,
         )
-        trajectory = GsmTrajectory(
+        return GsmTrajectory(
             power_dbm=power,
             channel_ids=np.arange(self._n_channels, dtype=np.int64),
             geo=geo,
         )
-        return interpolate_missing(trajectory) if interpolate else trajectory
 
     def extend(self, chunk: ScanStream, track: EstimatedTrack) -> None:
         """Fold a newer scan chunk (and the extended track) into the index.
@@ -488,6 +541,16 @@ def interpolate_missing(trajectory: GsmTrajectory) -> GsmTrajectory:
     power = trajectory.power_dbm
     if not np.any(np.isnan(power)):
         return trajectory
+    return GsmTrajectory(
+        power_dbm=_interpolated(power),
+        channel_ids=trajectory.channel_ids,
+        geo=trajectory.geo,
+    )
+
+
+def _interpolated(power: np.ndarray) -> np.ndarray:
+    """A copy of ``power`` with its gaps filled as :func:`interpolate_missing`
+    fills them: one ``np.interp`` per row over mark indices."""
     filled = power.copy()
     x = np.arange(power.shape[1], dtype=float)
     missing = np.isnan(power)
@@ -500,143 +563,78 @@ def interpolate_missing(trajectory: GsmTrajectory) -> GsmTrajectory:
         # what evaluating every column would produce — at a fraction of
         # the work (gaps are typically sparse).
         filled[row, gaps] = np.interp(x[gaps], x[valid], power[row, valid])
-    return GsmTrajectory(
-        power_dbm=filled,
-        channel_ids=trajectory.channel_ids,
-        geo=trajectory.geo,
-    )
+    return filled
 
 
-def seed_interpolate_missing(
-    prev_raw: GsmTrajectory | None,
-    prev_filled: GsmTrajectory | None,
-    new: GsmTrajectory,
-) -> GsmTrajectory:
-    """:func:`interpolate_missing`, seeded from an overlapping prior serve.
+def _runs(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run number and column of every cell of the runs ``[starts, stops)``."""
+    lengths = stops - starts
+    run = np.repeat(np.arange(lengths.size), lengths)
+    offset = starts - (np.cumsum(lengths) - lengths)
+    return run, np.arange(run.size) + offset[run]
 
-    The streaming serve path re-interpolates a context window that
-    mostly overlaps the previous one.  Linear interpolation is local —
-    a filled value depends only on its two bracketing measured marks —
-    so any gap whose brackets both lie in columns that are bitwise
-    unchanged between the two raw serves filled to exactly the same
-    value last time.  This copies those and re-interpolates only the
-    gaps reaching into changed columns, making the serve's fill cost
-    O(changed suffix) instead of O(window).
 
-    ``prev_raw``/``prev_filled`` are a prior serve's raw (uninterpolated)
-    window and its interpolated result; pass ``None`` to fall back to
-    the cold fill.  Bitwise-identical to ``interpolate_missing(new)`` in
-    all cases.
+def _fill_gaps(a, rows, cols, left, right, stop) -> None:
+    """Write ``np.interp``'s value into each gap ``a[rows, cols]``.
+
+    ``left``/``right`` are its bracketing measured columns (``-1`` /
+    ``stop``: none, so it clamps to the other).  Interior gaps use
+    ``np.interp``'s own lerp on its own operands: mark coordinates are
+    integer-valued floats, so their differences are exact whichever
+    column the coordinates start from.
     """
-    if prev_raw is None or prev_filled is None:
-        return interpolate_missing(new)
-    if prev_raw.geo.spacing_m != new.geo.spacing_m or not np.array_equal(
-        prev_raw.channel_ids, new.channel_ids
-    ):
-        return interpolate_missing(new)
-    off_f = (
-        new.geo.start_distance_m - prev_raw.geo.start_distance_m
-    ) / new.spacing_m
-    off = int(round(off_f))
-    if off < 0 or abs(off - off_f) > 1e-9:
-        return interpolate_missing(new)
-    n_overlap = min(prev_raw.n_marks - off, new.n_marks)
-    if n_overlap <= 0:
-        return interpolate_missing(new)
-    a = prev_raw.power_dbm[:, off : off + n_overlap]
-    b = new.power_dbm[:, :n_overlap]
-    # Bit-level compare (same itemsize, view is free); a false "changed"
-    # flag only costs recomputation, never correctness.
-    same_cols = (a.view(np.int64) == b.view(np.int64)).all(axis=0)
-    j0 = n_overlap if same_cols.all() else int(np.argmin(same_cols))
-    if j0 == 0:
-        return interpolate_missing(new)
-    power = new.power_dbm
-    missing = np.isnan(power)
-    if not missing.any():
-        return new
-    filled = power.copy()
-    pf = prev_filled.power_dbm
-    n_ch, n = power.shape
-    valid_any = ~missing.all(axis=1)
-    # Every column below j0 is bitwise what the previous serve saw, so
-    # the previous fill is exact wherever its interpolation brackets
-    # also sat below j0.  Copy the whole prefix unconditionally — one
-    # contiguous 2-D copy instead of a masked one — then repair the
-    # three places the copy over-reaches: rows with no measurement at
-    # all (stay NaN), leading gaps (the previous window may have
-    # bracketed them from since-dropped columns; the new window clamps),
-    # and gaps past each row's last prefix measurement (their right
-    # bracket may be a changed column).
-    filled[:, :j0] = pf[:, off : off + j0]
-    if not valid_any.all():
-        filled[~valid_any, :j0] = power[~valid_any, :j0]
-    # Leading gaps clamp to the first measured mark (np.interp's left
-    # edge behaviour), independent of everything downstream.
-    v0 = (~missing).argmax(axis=1)
-    vmax = int(v0[valid_any].max()) if valid_any.any() else 0
-    if vmax > 0:
-        lead = (
-            missing[:, :vmax]
-            & (np.arange(vmax) < v0[:, None])
-            & valid_any[:, None]
-        )
-        np.copyto(
-            filled[:, :vmax],
-            power[np.arange(n_ch), v0][:, None],
-            where=lead,
-        )
-    below = ~missing[:, :j0]
-    has_below = below.any(axis=1)
-    v_last = j0 - 1 - below[:, ::-1].argmax(axis=1)
-    # Gaps past v_last (or all gaps of a row with nothing measured below
-    # j0) may bracket into changed columns: re-interpolate them, all
-    # rows at once, with the lerp ``np.interp`` itself applies —
-    # ``slope = (fp_hi - fp_lo) / (x_hi - x_lo)`` then
-    # ``slope * (x - x_lo) + fp_lo`` — on identical operands (mark
-    # indices are integer-valued floats, so coordinate differences are
-    # exact), which keeps the fill bitwise what the cold path produces.
-    # All such gaps sit at columns > min(starts), so the bracket search
-    # runs on that short suffix only.
-    starts = np.where(has_below, v_last, v0)
-    if valid_any.any():
-        base = int(starts[valid_any].min())
-        sub_miss = missing[:, base:]
-        sub_cols = np.arange(n - base)
-        fill = (
-            sub_miss
-            & (sub_cols > (starts - base)[:, None])
-            & valid_any[:, None]
-        )
-        r, c = np.nonzero(fill)
-    else:
-        r = c = np.empty(0, dtype=np.intp)
-    if r.size:
-        # Bracketing measured marks per column (suffix coordinates):
-        # last valid at-or-left, first valid at-or-right (out of range
-        # when the gap is trailing).  Every fill column's left bracket
-        # is at or after its row's ``starts`` mark, which is >= base.
-        n_sub = n - base
-        left = np.maximum.accumulate(
-            np.where(sub_miss, -1, sub_cols), axis=1
-        )
-        right = np.minimum.accumulate(
-            np.where(sub_miss, n_sub, sub_cols)[:, ::-1], axis=1
-        )[:, ::-1]
-        lo, hi = left[r, c], right[r, c]
-        f_lo = power[r, base + lo]
-        out = f_lo.copy()  # trailing gaps clamp to the last measured mark
-        interior = hi < n_sub
-        ri, lo_i, hi_i = r[interior], lo[interior], hi[interior]
-        slope = (power[ri, base + hi_i] - f_lo[interior]) / (
-            hi_i - lo_i
-        ).astype(float)
-        out[interior] = (
-            slope * (c[interior] - lo_i).astype(float) + f_lo[interior]
-        )
-        filled[r, base + c] = out
-    return GsmTrajectory(
-        power_dbm=filled,
-        channel_ids=new.channel_ids,
-        geo=new.geo,
-    )
+    lead, trail = left < 0, right >= stop
+    value = a[rows, np.where(lead, right, left)]
+    inner = ~(lead | trail)
+    lo, hi = left[inner], right[inner]
+    f_lo = value[inner]
+    slope = (a[rows[inner], hi] - f_lo) / (hi - lo).astype(float)
+    value[inner] = slope * (cols[inner] - lo).astype(float) + f_lo
+    a[rows, cols] = value
+
+
+def _refill(filled, counts, rows, starts, stop) -> None:
+    """Re-fill the gaps of ``filled[rows[i], starts[i]:stop]`` in place.
+
+    ``counts`` marks the measured cells, whose values ``filled`` holds;
+    column ``starts[i] - 1`` is measured unless ``starts[i]`` is 0, and
+    each run holds a measured cell.  Brackets come from a running max
+    and min over the runs laid end to end, keyed per run so that none
+    crosses into a neighbour.
+    """
+    run, cols = _runs(starts, np.full_like(starts, stop))
+    r = rows[run]
+    measured = counts[r, cols] > 0
+    base = run * (stop + 2) + 1
+    key = base + cols
+    left = np.maximum.accumulate(np.where(measured, key, base + starts[run] - 1))
+    right = np.minimum.accumulate(np.where(measured, key, base + stop)[::-1])[::-1]
+    gap = ~measured
+    base = base[gap]
+    _fill_gaps(filled, r[gap], cols[gap], left[gap] - base, right[gap] - base, stop)
+
+
+def _fill_edges(power: np.ndarray, measured: np.ndarray, tail: np.ndarray) -> None:
+    """Finish a window copied out of a filled grid, in place.
+
+    ``measured`` marks the window's measured cells before its last
+    column, ``tail`` its rows measured in that (re-aggregated) column.
+    A gap bracketed on both sides before the last column was filled in
+    the grid exactly as the window fills it, so only the cells whose
+    brackets the window's edges move are re-filled: each row's leading
+    gap, which clamps to its first measured mark; the gaps after its
+    last measured mark before the last column, which end at that column
+    or clamp; and rows with no measurement, which stay NaN.
+    """
+    n = power.shape[1]
+    body = measured.any(axis=1)
+    power[~(body | tail)] = np.nan
+    first = np.where(body, measured.argmax(axis=1), n - 1)
+    rows = np.flatnonzero((body | tail) & (first > 0))
+    run, cols = _runs(np.zeros_like(rows), first[rows])
+    _fill_gaps(power, rows[run], cols, np.full_like(cols, -1), first[rows][run], n)
+    rows = np.flatnonzero(body)
+    final = n - 2 - measured[rows, ::-1].argmax(axis=1)
+    right = np.where(tail[rows], n - 1, n)
+    run, cols = _runs(final + 1, n - tail[rows])
+    _fill_gaps(power, rows[run], cols, final[run], right[run], n)

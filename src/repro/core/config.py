@@ -9,6 +9,7 @@ flexible-window floor of 10 m (§V-C).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 __all__ = ["RupsConfig"]
@@ -75,6 +76,11 @@ class RupsConfig:
     max_heading_disagreement_rad: float = 0.35
 
     def __post_init__(self) -> None:
+        if not isinstance(self.context_length_m, numbers.Real):
+            raise ValueError(
+                "context_length_m must be a number, "
+                f"got {self.context_length_m!r}"
+            )
         if self.context_length_m <= 0:
             raise ValueError("context_length_m must be positive")
         if not 0 < self.window_length_m <= self.context_length_m:

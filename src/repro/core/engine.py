@@ -189,9 +189,7 @@ class RupsEngine:
             else context_length_m
         )
         spacing = self.config.spacing_m
-        on_grid = ctx is None or abs(
-            round(float(ctx) / spacing) * spacing - float(ctx)
-        ) <= 1e-9
+        on_grid = abs(round(ctx / spacing) * spacing - ctx) <= 1e-9
         if not on_grid:
             emit("engine.build", diagnostic=True, cache="bypass")
             with trace("engine.build"):

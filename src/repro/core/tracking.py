@@ -237,12 +237,10 @@ class RupsTracker:
         trajectory, exactly as the batch build would.
         """
         inc("tracker.stream_updates")
-        ctx = self.config.context_length_m
-        if ctx is None:
-            raise ValueError("stream_update requires a bounded context_length_m")
         if self._builder is None:
             self._builder = TrajectoryBuilder(
-                spacing_m=self.config.spacing_m, context_length_m=ctx
+                spacing_m=self.config.spacing_m,
+                context_length_m=self.config.context_length_m,
             )
         with trace("tracker.stream_bind"):
             self._builder.append(chunk, track)

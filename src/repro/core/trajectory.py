@@ -248,14 +248,14 @@ class TrajectoryBuilder:
     builder folds each new scan chunk into a private, appendable
     :class:`~repro.core.binding.DriveBindingIndex`
     (:meth:`~repro.core.binding.DriveBindingIndex.extend`) and serves
-    its bounded context window out of it in O(window) per query.  Served
-    trajectories are **bit-identical** to a cold
-    :func:`~repro.core.binding.bind_scan` over the concatenated stream —
-    the contract the prefix-equivalence suite in
-    ``tests/test_streaming_prefix.py`` enforces.
-
-    The last serve and its raw (uninterpolated) twin form the serve
-    chain: they seed the next serve's incremental gap fill.
+    its bounded context window with
+    :meth:`~repro.core.binding.DriveBindingIndex.bind`, whose resident
+    gap fill re-fills only the columns folded since the last serve plus
+    the window's edges.  Served trajectories are **bit-identical** to a
+    cold :func:`~repro.core.binding.bind_scan` over the concatenated
+    stream — the contract the prefix-equivalence suite in
+    ``tests/test_streaming_prefix.py`` enforces — and own their arrays,
+    so later appends never change one.
 
     :meth:`append` validates before it commits: a rejected chunk leaves
     the builder — binding state, measurement count, served trajectory —
@@ -286,8 +286,6 @@ class TrajectoryBuilder:
         self._context_length_m = float(context_length_m)
         self._index = None  # DriveBindingIndex, created on first append
         self._n_measurements = 0
-        self._last_raw: GsmTrajectory | None = None
-        self._last: GsmTrajectory | None = None
 
     @property
     def n_measurements(self) -> int:
@@ -340,13 +338,6 @@ class TrajectoryBuilder:
                 "not enough travelled distance for a trajectory "
                 "(no measurements appended yet)"
             )
-        from repro.core.binding import seed_interpolate_missing
-
-        raw = self._index.bind(
-            at_time_s=at_time_s,
-            context_length_m=self._context_length_m,
-            interpolate=False,
+        return self._index.bind(
+            at_time_s=at_time_s, context_length_m=self._context_length_m
         )
-        filled = seed_interpolate_missing(self._last_raw, self._last, raw)
-        self._last_raw, self._last = raw, filled
-        return filled

@@ -399,9 +399,11 @@ class FleetService:
     ) -> TrackerPlan | FleetEstimate:
         """Serve ``q``'s two trajectories and plan its session's period.
 
-        Returns the answer when no search is needed (the query cannot be
-        served — unknown vehicle, drive still too short — or the plan is
-        already decided), otherwise the undecided plan.
+        Returns the answer when the query cannot be served (unknown
+        vehicle, drive still too short), otherwise the plan, which is
+        undecided: ``plan_update`` decides a period without searching
+        only when no context was ever decoded, and this one has
+        ``other``.
         """
         own, err = self._serve(q.own_id, at_time_s)
         other = None
@@ -430,10 +432,7 @@ class FleetService:
             )
         tracker = self.store.session(q.own_id, q.other_id)
         with use_query_id(q.query_id):
-            plan = tracker.plan_update(own, other, context_age_s=q.context_age_s)
-        if plan.update is not None:
-            return self._from_update(q, plan.update)
-        return plan
+            return tracker.plan_update(own, other, context_age_s=q.context_age_s)
 
     def _serve(
         self, vehicle_id: str, at_time_s: float | None

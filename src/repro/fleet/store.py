@@ -52,8 +52,8 @@ class FleetStore:
     Parameters
     ----------
     config:
-        RUPS configuration shared by every session; must have a bounded
-        ``context_length_m`` (the builders need a serving window).
+        RUPS configuration shared by every session; its
+        ``context_length_m`` is each builder's serving window.
 
     Every session is a ``RupsTracker(config)`` with the tracker's
     default lock window, failure ladder and staleness budget.
@@ -61,8 +61,6 @@ class FleetStore:
 
     def __init__(self, config: RupsConfig | None = None) -> None:
         self.config = config or RupsConfig()
-        if self.config.context_length_m is None:
-            raise ValueError("FleetStore requires a bounded context_length_m")
         self._slots: dict[str, VehicleSlot] = {}
         self._sessions: dict[tuple[str, str], RupsTracker] = {}
 

@@ -10,7 +10,7 @@ from it.
 import numpy as np
 import pytest
 
-from repro.core.binding import DriveBindingIndex, bind_scan
+from repro.core.binding import DriveBindingIndex, bind_scan, interpolate_missing
 from repro.core.config import RupsConfig
 from repro.core.engine import RupsEngine
 from repro.gsm.scanner import RadioGroup, scan_drive
@@ -122,6 +122,94 @@ class TestDriveBindingIndexDifferential:
             at_time_s=at_time_s, context_length_m=context_length_m
         )
         assert_bitwise_equal(direct, cached)
+
+
+def _bind_both_ways(index, scan, track, at_time_s, context_length_m):
+    """The index's filled and raw windows; the filled one is checked
+    bitwise against a cold ``bind_scan`` and the raw one's cold fill."""
+    got = index.bind(at_time_s=at_time_s, context_length_m=context_length_m)
+    raw = index.bind(
+        at_time_s=at_time_s, context_length_m=context_length_m, interpolate=False
+    )
+    assert_bitwise_equal(
+        got,
+        bind_scan(
+            scan,
+            track,
+            at_time_s=at_time_s,
+            context_length_m=context_length_m,
+            interpolate=True,
+        ),
+    )
+    assert_bitwise_equal(got, interpolate_missing(raw))
+    return got, raw
+
+
+class TestResidentFillEdges:
+    """The window copied out of the index's resident fill, with only its
+    edges re-filled, is the window filled on its own."""
+
+    def test_first_column_inside_a_gap_bracketed_from_before(self, edge_drive):
+        scan, track = edge_drive
+        index = DriveBindingIndex(scan, track)
+        # Channel 1 is measured at marks 16 and 248: the window over
+        # marks 100-250 starts inside that gap.
+        got, raw = _bind_both_ways(index, scan, track, 31.25, 150.0)
+        assert got.geo.start_distance_m == 100.0
+        assert np.isnan(raw.power_dbm[1, :148]).all()
+        assert not np.isnan(raw.power_dbm[1, 148])
+        whole = index.bind(at_time_s=31.25)
+        # The grid lerps from mark 16; the window clamps to mark 248.
+        assert whole.power_dbm[1, 100] != got.power_dbm[1, 0]
+        assert np.all(got.power_dbm[1, :148] == raw.power_dbm[1, 148])
+
+    @pytest.mark.parametrize("context_length_m", [150.0, 151.0])
+    def test_query_instants_that_empty_or_change_the_last_column(
+        self, edge_drive, context_length_m
+    ):
+        scan, track = edge_drive
+        index = DriveBindingIndex(scan, track)
+        emptied = changed = 0
+        parities = set()
+        for at_time_s in np.arange(30.0, 40.0, 1.0 / 48.0):
+            got, raw = _bind_both_ways(
+                index, scan, track, float(at_time_s), context_length_m
+            )
+            first = int(round(got.geo.start_distance_m))
+            parities.add(first % 2)
+            # The grid's last window column, before the time filter.
+            st = index._states[first % 2]
+            col = first + got.n_marks - 1 - index._mark0
+            with np.errstate(invalid="ignore", divide="ignore"):
+                full = st.sums[:, col] / st.counts[:, col]
+            last = raw.power_dbm[:, -1]
+            emptied += int(np.sum(np.isnan(last) & (st.counts[:, col] > 0)))
+            changed += int(np.sum(~np.isnan(last) & (last != full)))
+        assert parities == {0, 1}
+        assert emptied > 0 and changed > 0
+
+    def test_channels_without_a_measurement_in_the_window_stay_nan(
+        self, edge_drive
+    ):
+        scan, track = edge_drive
+        index = DriveBindingIndex(scan, track)
+        got, raw = _bind_both_ways(index, scan, track, 90.0, 150.0)
+        # Channel 4 stops at 15 s (120 m), channel 3 is never measured.
+        assert np.isnan(got.power_dbm[[3, 4]]).all()
+        whole = index.bind(at_time_s=90.0)
+        assert not np.isnan(whole.power_dbm[4]).any()
+        assert np.isnan(whole.power_dbm[3]).all()
+
+    def test_every_window_of_the_drive(self, edge_drive):
+        # Windows in both parities, across the silence of channel 2 and
+        # past the end of channel 4, the whole drive included.
+        scan, track = edge_drive
+        index = DriveBindingIndex(scan, track)
+        for at_time_s in np.arange(1.0, 100.0, 2.3):
+            for context_length_m in (None, 150.0, 151.0, 600.0):
+                _bind_both_ways(
+                    index, scan, track, float(at_time_s), context_length_m
+                )
 
 
 class TestEngineTrajectoryCache:

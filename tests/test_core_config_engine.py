@@ -40,6 +40,12 @@ class TestRupsConfig:
         with pytest.raises(ValueError):
             RupsConfig(**kwargs)
 
+    @pytest.mark.parametrize("context_length_m", [None, "1000"])
+    def test_non_numeric_context_length_rejected(self, context_length_m):
+        # Every context is bounded: no layer serves an unbounded one.
+        with pytest.raises(ValueError, match="context_length_m must be a number"):
+            RupsConfig(context_length_m=context_length_m)
+
     def test_threshold_for_window_endpoints(self):
         cfg = RupsConfig()
         assert cfg.threshold_for_window(cfg.window_length_m) == pytest.approx(

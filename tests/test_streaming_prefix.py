@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro.core import RupsConfig
-from repro.core.binding import DriveBindingIndex, bind_scan
+from repro.core.binding import DriveBindingIndex, bind_scan, interpolate_missing
 from repro.core.tracking import RupsTracker
 from repro.core.trajectory import GeoTrajectory, TrajectoryBuilder
 from repro.gsm.band import ChannelPlan
@@ -196,6 +196,79 @@ class TestTrajectoryBuilderPrefixEquivalence:
     def test_builder_rejects_off_grid_context(self):
         with pytest.raises(ValueError, match="whole multiple"):
             TrajectoryBuilder(context_length_m=150.5)
+
+
+class TestResidentFillStreaming:
+    """Serves come out of the index's resident fill, which ``bind()``
+    refreshes over only the columns folded since the last serve, and
+    equal both cold references bit for bit."""
+
+    @staticmethod
+    def _serve_and_check(builder, scan, trk, b, at_time_s, context_length_m):
+        got = builder.trajectory(at_time_s=at_time_s)
+        want = bind_scan(
+            scan.slice(0, b),
+            trk,
+            at_time_s=at_time_s,
+            context_length_m=context_length_m,
+            interpolate=True,
+        )
+        _assert_trajectories_identical(got, want)
+        raw = builder._index.bind(
+            at_time_s=at_time_s,
+            context_length_m=context_length_m,
+            interpolate=False,
+        )
+        _assert_trajectories_identical(got, interpolate_missing(raw))
+        return got
+
+    @pytest.mark.parametrize("context_length_m", [150.0, 151.0])
+    def test_ragged_appends_with_serves_between(self, edge_drive, context_length_m):
+        scan, track = edge_drive
+        rng = np.random.default_rng(int(context_length_m))
+        builder = TrajectoryBuilder(context_length_m=context_length_m)
+        served = []
+        prev_b = appends = most_appends = same_column = resumed = 0
+        t_end = 0.0
+        while t_end < 100.0:
+            t_end = min(t_end + float(rng.choice([0.03, 0.1, 0.4, 1.3, 4.0])), 100.0)
+            trk = _truncate(track, t_end)
+            b = _chunk_bounds(scan, trk)
+            if rng.random() < 0.3:
+                # Hold the newest measurements back for a later chunk.
+                b = prev_b + int(rng.integers(0, b - prev_b + 1))
+            if 0 < prev_b < b:
+                d = 8.0 * scan.times_s[prev_b - 1 : prev_b + 1]
+                same_column += int(np.floor(d[0] + 0.5) == np.floor(d[1] + 0.5))
+            builder.append(scan.slice(prev_b, b), trk)
+            prev_b = b
+            appends += 1
+            if t_end < 20.0 or (rng.random() < 0.75 and t_end < 100.0):
+                continue  # the fleet pattern: many appends, one serve
+            most_appends = max(most_appends, appends)
+            appends = 0
+            at_time_s = None if rng.random() < 0.5 else t_end - float(rng.random())
+            got = self._serve_and_check(
+                builder, scan, trk, b, at_time_s, context_length_m
+            )
+            # Channel 2 resumes at 65 s after 360 silent marks.
+            resumed += int(65.0 < t_end < 80.0)
+            served.append((got, got.power_dbm.copy()))
+        assert len(served) >= 10
+        assert most_appends >= 8 and same_column > 0 and resumed > 0
+        # Later appends never touch what was served before them.
+        for got, power in served:
+            assert np.array_equal(got.power_dbm, power, equal_nan=True)
+
+    def test_serve_twice_without_appending(self, edge_drive):
+        scan, track = edge_drive
+        trk = _truncate(track, 70.0)
+        b = _chunk_bounds(scan, trk)
+        builder = TrajectoryBuilder(context_length_m=150.0)
+        builder.append(scan.slice(0, b), trk)
+        first = self._serve_and_check(builder, scan, trk, b, None, 150.0)
+        again = self._serve_and_check(builder, scan, trk, b, None, 150.0)
+        assert again.power_dbm is not first.power_dbm
 
 
 def _reversed(chunk):

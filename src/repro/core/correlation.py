@@ -17,11 +17,11 @@ ticks, tracking updates, the anchored streaming rung) runs through
 :func:`fused_sweep_many`:
 
 * window means and variances come from per-channel prefix sums in
-  O(n * m), the cross terms from one grouped matmul of the centred
-  query rows against a strided window view, and only the ``(n_pos, n)``
-  sliding statistics (see :class:`SlidingWindowStats`) are kept per
-  trajectory — never a per-window feature tensor (tens of MB per
-  trajectory at paper-sized contexts);
+  O(n * m), the cross terms from one batched matmul per request of
+  the centred query rows against a strided window view, and only the
+  ``(n_pos, n)`` sliding statistics (see :class:`SlidingWindowStats`)
+  are kept per trajectory — never a per-window feature tensor (tens
+  of MB per trajectory at paper-sized contexts);
 * prefix-sum variances are ill-conditioned exactly where eq. (2) gates
   windows (near-zero variance), so any window whose prefix-sum variance
   falls below a conservative guard is *recomputed exactly* from its raw
@@ -271,7 +271,7 @@ def correlation_matrix(
 
 
 # ----------------------------------------------------------------------
-# the sweep: prefix-sum sliding statistics + grouped matmuls
+# the sweep: prefix-sum sliding statistics + one matmul per request
 # ----------------------------------------------------------------------
 
 #: Relative guard under which a prefix-sum window variance is considered
@@ -483,71 +483,30 @@ def fused_sweep(
 def fused_sweep_many(
     sweeps: list[tuple[np.ndarray, np.ndarray, SlidingWindowStats]],
 ) -> list[np.ndarray]:
-    """Eq.-(2) scores of many sweep requests, shared-target GEMMs fused —
-    the cross-pair SYN sweep.
+    """Eq.-(2) scores of many sweep requests — the cross-pair SYN sweep.
 
     ``sweeps`` is a list of ``(query, starts, target_stats)`` requests,
-    typically every side of every pending query in a campaign chunk or a
-    convoy's all-pairs scan.  Requests that sweep the *same* target
-    stats object with the same operand shape — a convoy head matched
-    against many probes, or both directions of a symmetric pair — are
-    stacked along the window-row axis and evaluated by a single
-    ``np.matmul`` over ``(n, g*r, w) @ (n, w, n_pos)``: the target's
-    sliding-window operand is built (and BLAS-buffered) once instead of
-    ``g`` times.  Requests with distinct targets run one GEMM each —
-    stacking distinct targets would copy each one into a dense batch
-    operand for zero reuse, which profiling showed costs more than it
-    saves.  Either way every window row sees exactly the operands a
-    request swept alone would have fed it, so results are bit-identical
-    to one call per request (:func:`fused_sweep`; the differential
-    suite holds both to the reference loop).
+    typically every side of every pending query in a campaign chunk or
+    a fleet round.  Each request runs one GEMM, ``np.matmul`` over
+    ``(n, r, w) @ (n, w, n_pos)`` against a strided view of its target's
+    centred trajectory, then the eq.-(2) finish, so results are
+    bit-identical to one :func:`fused_sweep` call per request (the
+    differential suite holds both to the reference loop).
 
     Returns one ``(r, n_pos)`` score matrix per request, in order.
     """
-    results: list[np.ndarray | None] = [None] * len(sweeps)
-    prepared = []
-    for idx, (query, starts, stats) in enumerate(sweeps):
+    results = []
+    for query, starts, stats in sweeps:
         w = stats.window_marks
-        n = query.shape[0]
         blocks = _query_window_blocks(
             np.asarray(query, dtype=float),
             np.asarray(starts, dtype=np.intp),
             w,
         )
-        prepared.append((idx, n, w, blocks, stats))
-
-    # Group shared-target requests, preserving first-seen order (the
-    # grouping depends only on request identity, shapes, and order —
-    # never on jobs or chunk layout beyond the request list itself).
-    groups: dict[tuple[int, int, int, int], list[tuple]] = {}
-    for idx, n, w, blocks, stats in prepared:
-        r = blocks[0].shape[0]
-        key = (id(stats), n, r, w)
-        groups.setdefault(key, []).append((idx, n, blocks, stats))
-
-    for (_, n, r, w), members in groups.items():
-        stats = members[0][3]
         sw = sliding_window_view(stats.centered, w, axis=1).transpose(0, 2, 1)
-        if len(members) == 1:
-            idx, _, blocks, stats = members[0]
-            dots = np.matmul(
-                np.ascontiguousarray(blocks[0].transpose(1, 0, 2)), sw
-            )
-            results[idx] = _fused_finish(dots, blocks, stats, n)
-            continue
-        big_q = np.concatenate(
-            [
-                np.ascontiguousarray(blocks[0].transpose(1, 0, 2))
-                for _, _, blocks, _ in members
-            ],
-            axis=1,
-        )  # (n, g*r, w)
-        dots_all = np.matmul(big_q, sw)  # (n, g*r, n_pos)
-        for i, (idx, _, blocks, member_stats) in enumerate(members):
-            results[idx] = _fused_finish(
-                dots_all[:, i * r : (i + 1) * r, :], blocks, member_stats, n
-            )
-    return results  # type: ignore[return-value]
+        dots = np.matmul(np.ascontiguousarray(blocks[0].transpose(1, 0, 2)), sw)
+        results.append(_fused_finish(dots, blocks, stats, query.shape[0]))
+    return results
 
 
 def sliding_trajectory_correlation(
@@ -570,7 +529,7 @@ def sliding_trajectory_correlation(
 
     The production sweep for one query (the differential harness holds
     it to :func:`reference_sliding_correlation` to 1e-9): O(n * m)
-    sliding statistics plus one grouped matmul.  A target dominated by
+    sliding statistics plus one batched matmul.  A target dominated by
     degenerate windows (see :data:`_SUSPECT_FRACTION_LIMIT`) is scored
     by the feature-matrix product instead.
     """

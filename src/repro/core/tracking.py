@@ -267,8 +267,8 @@ class RupsTracker:
         feeds each result to :meth:`absorb_update` until the plan is
         decided.  Splitting the period this way is what lets a fleet
         service batch many sessions' searches into one cross-pair kernel
-        call while every session's state transitions stay in the
-        submitting process, deterministic under any fan-out.
+        call while every session's state transitions stay serial, in
+        submission order.
 
         ``anchored`` lets a locked session start with the anchored
         suffix sweep: :meth:`stream_update` passes ``True``;

@@ -10,8 +10,7 @@ Usage::
     python -m repro.experiments t-campaign --events-out events.jsonl
     python -m repro.experiments report --events events.jsonl
     python -m repro.experiments fig2 --log-level INFO
-    python -m repro.experiments t-fleet --serve-metrics 9464 --slo
-    python -m repro.experiments t-fleet --flight-out flight.jsonl
+    python -m repro.experiments t-fleet --vehicles 20 --duration 160
     python -m repro.experiments --list
 
 Each id regenerates one paper artifact and prints its series/table.
@@ -166,37 +165,6 @@ def main(argv: list[str] | None = None) -> int:
         help="write the span recorder's ring buffer to PATH as JSON",
     )
     parser.add_argument(
-        "--serve-metrics",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="serve /metrics + /healthz on PORT while experiments run "
-        "(0 = pick a free port; the chosen port is printed)",
-    )
-    parser.add_argument(
-        "--prom-out",
-        default=None,
-        metavar="PATH",
-        help="write the final OpenMetrics exposition to PATH; with "
-        "--serve-metrics it is scraped over HTTP from the live "
-        "endpoint, otherwise rendered directly",
-    )
-    parser.add_argument(
-        "--slo",
-        action="store_true",
-        help="evaluate the fleet SLOs (latency objectives + error "
-        "budgets) after the run, print the report, and export "
-        "slo.* gauges",
-    )
-    parser.add_argument(
-        "--flight-out",
-        default=None,
-        metavar="PATH",
-        help="arm a flight recorder: anomaly triggers (lock-drop "
-        "storm, latency breach) dump the recent span/event tail to "
-        "PATH as JSONL; a final dump is always written at run end",
-    )
-    parser.add_argument(
         "--events",
         default=None,
         metavar="PATH",
@@ -238,19 +206,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
-    flight = None
-    if args.flight_out:
-        from repro.obs.flight import FlightRecorder
-
-        flight = FlightRecorder(args.flight_out)
-
-    server = None
-    if args.serve_metrics is not None:
-        from repro.obs.server import MetricsServer
-
-        server = MetricsServer(port=args.serve_metrics)
-        print(f"[serving metrics at {server.url}/metrics]")
-
     def kwargs_for(exp_id: str) -> dict:
         kwargs: dict = {}
         if exp_id in _EVAL_IDS:
@@ -271,8 +226,6 @@ def main(argv: list[str] | None = None) -> int:
                 kwargs["n_vehicles"] = args.vehicles
             if args.duration is not None:
                 kwargs["duration_s"] = args.duration
-            if flight is not None:
-                kwargs["flight"] = flight
         # A lone jobs-aware experiment gets the whole worker budget;
         # when several ids fan out, the workers are spent across ids.
         if exp_id in JOBS_AWARE and len(args.experiments) == 1:
@@ -352,40 +305,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"capacity {recorder.capacity}; the trace is truncated",
                 file=sys.stderr,
             )
-    if args.slo:
-        from repro.obs import slo as slo_mod
-
-        statuses = slo_mod.evaluate(slo_mod.gathered_snapshot())
-        # Export the verdicts as slo.* gauges before any final scrape,
-        # so --prom-out (and a live scraper) sees them.
-        slo_mod.set_slo_gauges(statuses)
-        print()
-        print(slo_mod.format_report(statuses))
-    if flight is not None:
-        # Every armed run leaves a black box even when no trigger
-        # fired — the end-of-run dump is the baseline to diff against.
-        flight.dump("end_of_run")
-        flight.close()
-        print(
-            f"[flight recorder: {flight.n_dumps} dump(s) written to "
-            f"{args.flight_out}]"
-        )
-    if args.prom_out:
-        if server is not None:
-            import urllib.request
-
-            with urllib.request.urlopen(server.url + "/metrics") as resp:
-                body = resp.read().decode()
-        else:
-            from repro.obs.openmetrics import exposition
-
-            body = exposition()
-        with open(args.prom_out, "w") as fh:
-            fh.write(body)
-        source = "scraped from live endpoint" if server else "rendered"
-        print(f"[OpenMetrics exposition written to {args.prom_out} ({source})]")
-    if server is not None:
-        server.close()
     return 0
 
 

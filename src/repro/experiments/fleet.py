@@ -10,12 +10,11 @@ accuracy and lock behaviour of the answers (deterministic, exported
 through ``repro.obs``).
 
 Determinism contract: with a fixed seed, ``outcomes`` — every answered
-query with its ground truth — the merged *invariant* metrics
+query with its ground truth — the *invariant* metrics
 (:func:`~repro.obs.metrics.invariant_snapshot`) and the provenance
-event export are byte-identical for any ``jobs``/``shared_statics``/
-``chunk_pairs`` setting; only the wall-clock latency figures move.  The
-arrival process draws from the experiment's own seeded generator in the
-submitting process, so load composition never depends on scheduling.
+event export are identical from run to run; only the wall-clock latency
+figures move.  The arrival process draws from the experiment's own
+seeded generator, so load composition is part of the seed.
 """
 
 from __future__ import annotations
@@ -25,22 +24,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import RupsConfig
-from repro.experiments.campaign import _campaign_simulate_task
 from repro.experiments.reporting import render_table
 from repro.experiments.stream import event_grid
 from repro.fleet import FleetQuery, FleetService, FleetStore
-from repro.fleet.service import DEFAULT_CHUNK_PAIRS
 from repro.gsm.band import EVAL_SUBSET_115, ChannelPlan
 from repro.gsm.routefield import build_route_field
+from repro.gsm.scanner import RadioGroup
 from repro.obs.events import emit, use_query_id
 from repro.obs.logconfig import get_logger
 from repro.obs.metrics import inc
 from repro.obs.tracing import trace
 from repro.roads.network import RoadNetworkConfig, generate_network
 from repro.roads.route import random_route
-from repro.runtime import DeterministicExecutor
-from repro.runtime import shared as shared_store
 from repro.util.rng import RngFactory
+from repro.vehicles.drive import simulate_drive
 from repro.vehicles.idm import follow_leader
 from repro.vehicles.kinematics import urban_speed_profile
 
@@ -53,9 +50,8 @@ _log = get_logger(__name__)
 class FleetReplayResult:
     """Outcome of one fleet replay.
 
-    ``outcomes`` is the deterministic record the jobs-invariance suite
-    pickles: one ``(pair_index, time_s, truth_m, estimate)`` tuple per
-    answered query, in arrival order, with ``estimate`` the service's
+    ``outcomes`` is the deterministic record of the replay: one
+    ``(pair_index, time_s, truth_m, estimate)`` tuple per answered query, in arrival order, with ``estimate`` the service's
     :class:`~repro.fleet.FleetEstimate`.  The latency/throughput numbers
     in ``rows`` come from wall clock and are *not* part of that
     contract.
@@ -90,11 +86,6 @@ def fleet_replay(
     plan: ChannelPlan | None = None,
     config: RupsConfig | None = None,
     seed: int = 0,
-    jobs: int | None = 1,
-    chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
-    shared_statics: bool = True,
-    executor: DeterministicExecutor | None = None,
-    flight=None,
 ) -> FleetReplayResult:
     """Replay a fleet of leader/follower pairs through the service.
 
@@ -112,19 +103,8 @@ def fleet_replay(
         previous tick.
     query_rate_hz:
         Fleet-wide Poisson query arrival rate [1/s]; each arrival picks
-        a uniformly random pair.  Draws happen in the submitting process
-        from the experiment's seeded generator.
-    jobs, chunk_pairs, shared_statics:
-        Search fan-out knobs, forwarded to the
-        :class:`~repro.fleet.FleetService` (and to the drive-simulation
-        wave).  Never results knobs — see the module determinism
-        contract.
-    executor:
-        Reuse an existing executor (the caller keeps ownership).
-    flight:
-        Optional :class:`~repro.obs.flight.FlightRecorder` checked
-        after every service tick (lock-drop storm / latency-breach
-        dumps); the caller owns it and decides when to close.
+        a uniformly random pair, drawn from the experiment's seeded
+        generator.
     """
     if n_vehicles < 2 or n_vehicles % 2:
         raise ValueError("n_vehicles must be even and >= 2")
@@ -162,133 +142,110 @@ def fleet_replay(
             raise RuntimeError("drive overruns the route; lengthen the route")
         motions.append((lead, rear, pair_factory))
 
-    owns_executor = executor is None
-    if owns_executor:
-        executor = DeterministicExecutor(jobs=jobs)
+    inc("fleet.replays")
+    _log.info(
+        "fleet replay: vehicles=%d duration_s=%.0f rate_hz=%.1f",
+        n_vehicles,
+        duration_s,
+        query_rate_hz,
+    )
+    # -- phase 1: simulate every vehicle's sensing ----------------------
+    group = RadioGroup(plan, n_radios=4)
+    with trace("fleet.simulate"):
+        records = [
+            simulate_drive(
+                route_field, motion, group, seed=pair_factory, vehicle_key=key
+            )
+            for lead, rear, pair_factory in motions
+            for motion, key in ((lead, "front"), (rear, "rear"))
+        ]
+
+    # -- phase 2: the replay loop ----------------------------------------
+    t_start = max(
+        float(rear.time_at_distance(rear.s_m[0] + ctx + 50.0))
+        for _, rear, _ in motions
+    )
+    t_end = min(lead.t1 for lead, _, _ in motions) - 2.0
+    if t_end <= t_start:
+        raise ValueError(
+            "duration_s too short: the query window closes before every "
+            "follower has driven a full context"
+        )
+    ticks = event_grid(t_start, t_end, update_period_s)
+
+    store = FleetStore(config)
+    service = FleetService(store)
+    vehicle_ids = []
+    for p in range(n_pairs):
+        vehicle_ids.append((f"p{p:03d}.front", f"p{p:03d}.rear"))
+    cuts = {vid: 0 for pair_ids in vehicle_ids for vid in pair_ids}
+    arrivals = factory.generator("queries")
+    n_submitted = 0
     result_outcomes: list[tuple] = []
-    try:
-        inc("fleet.replays")
-        _log.info(
-            "fleet replay: vehicles=%d duration_s=%.0f rate_hz=%.1f jobs=%d",
-            n_vehicles,
-            duration_s,
-            query_rate_hz,
-            executor.jobs,
-        )
-        # -- phase 1: simulate every vehicle's sensing (fanned out) -----
-        field_in = (
-            executor.publish(route_field) if shared_statics else route_field
-        )
-        sim_items = []
-        for p, (lead, rear, pair_factory) in enumerate(motions):
-            sim_items.append(
-                (field_in, lead, pair_factory, "front", 4, plan, shared_statics)
-            )
-            sim_items.append(
-                (field_in, rear, pair_factory, "rear", 4, plan, shared_statics)
-            )
-        with trace("fleet.simulate"):
-            records = [
-                shared_store.resolve(rec)
-                for rec in executor.map_ordered(
-                    _campaign_simulate_task, sim_items
-                )
-            ]
-
-        # -- phase 2: the replay loop ------------------------------------
-        t_start = max(
-            float(rear.time_at_distance(rear.s_m[0] + ctx + 50.0))
-            for _, rear, _ in motions
-        )
-        t_end = min(lead.t1 for lead, _, _ in motions) - 2.0
-        if t_end <= t_start:
-            raise ValueError(
-                "duration_s too short: the query window closes before every "
-                "follower has driven a full context"
-            )
-        ticks = event_grid(t_start, t_end, update_period_s)
-
-        store = FleetStore(config)
-        service = FleetService(
-            store,
-            chunk_pairs=chunk_pairs,
-            shared_statics=shared_statics,
-            executor=executor,
-            flight=flight,
-        )
-        vehicle_ids = []
-        for p in range(n_pairs):
-            vehicle_ids.append((f"p{p:03d}.front", f"p{p:03d}.rear"))
-        cuts = {vid: 0 for pair_ids in vehicle_ids for vid in pair_ids}
-        arrivals = factory.generator("queries")
-        n_submitted = 0
-        with trace("fleet.replay"):
-            for t in ticks:
-                t = float(t)
-                # Ingest: every vehicle streams its newly heard marks.
-                for p, (front_id, rear_id) in enumerate(vehicle_ids):
-                    for vid, record in (
-                        (front_id, records[2 * p]),
-                        (rear_id, records[2 * p + 1]),
-                    ):
-                        track = record.estimated.until(t)
-                        bound = int(
-                            np.searchsorted(
-                                record.scan.times_s,
-                                float(track.times_s[-1]),
-                                side="right",
-                            )
-                        )
-                        store.ingest(
-                            vid, record.scan.slice(cuts[vid], bound), track
-                        )
-                        cuts[vid] = bound
-                # Poisson arrivals since the last tick, drawn in the
-                # parent: load composition is part of the seed, never of
-                # the fan-out.
-                tick_meta = []
-                for _ in range(
-                    int(arrivals.poisson(query_rate_hz * update_period_s))
+    with trace("fleet.replay"):
+        for t in ticks:
+            t = float(t)
+            # Ingest: every vehicle streams its newly heard marks.
+            for p, (front_id, rear_id) in enumerate(vehicle_ids):
+                for vid, record in (
+                    (front_id, records[2 * p]),
+                    (rear_id, records[2 * p + 1]),
                 ):
-                    p = int(arrivals.integers(n_pairs))
-                    front_id, rear_id = vehicle_ids[p]
-                    service.submit(
-                        FleetQuery(
-                            query_id=f"q{n_submitted:05d}",
-                            own_id=rear_id,
-                            other_id=front_id,
+                    track = record.estimated.until(t)
+                    bound = int(
+                        np.searchsorted(
+                            record.scan.times_s,
+                            float(track.times_s[-1]),
+                            side="right",
                         )
                     )
-                    tick_meta.append(p)
-                    n_submitted += 1
-                answers = service.tick(at_time_s=t)
-                for p, estimate in zip(tick_meta, answers):
-                    lead, rear, _ = motions[p]
-                    truth = float(lead.arc_length_at(t)) - float(
-                        rear.arc_length_at(t)
+                    store.ingest(
+                        vid, record.scan.slice(cuts[vid], bound), track
                     )
-                    # Close each query's provenance trail so the
-                    # error-attribution reporter works on t-fleet
-                    # exports too.  Emitted serially in arrival order:
-                    # part of the byte-identical export contract.
-                    with use_query_id(estimate.query_id):
-                        emit(
-                            "query.outcome",
-                            time_s=t,
-                            truth_m=truth,
-                            estimate_m=estimate.distance_m,
-                            error_m=(
-                                None
-                                if estimate.distance_m is None
-                                else abs(float(estimate.distance_m) - truth)
-                            ),
-                            resolved=estimate.resolved,
-                            cause=estimate.cause,
-                        )
-                    result_outcomes.append((p, t, truth, estimate))
-    finally:
-        if owns_executor:
-            executor.close()
+                    cuts[vid] = bound
+            # Poisson arrivals since the last tick, drawn from the
+            # experiment's generator: load composition is part of the
+            # seed.
+            tick_meta = []
+            for _ in range(
+                int(arrivals.poisson(query_rate_hz * update_period_s))
+            ):
+                p = int(arrivals.integers(n_pairs))
+                front_id, rear_id = vehicle_ids[p]
+                service.submit(
+                    FleetQuery(
+                        query_id=f"q{n_submitted:05d}",
+                        own_id=rear_id,
+                        other_id=front_id,
+                    )
+                )
+                tick_meta.append(p)
+                n_submitted += 1
+            answers = service.tick(at_time_s=t)
+            for p, estimate in zip(tick_meta, answers):
+                lead, rear, _ = motions[p]
+                truth = float(lead.arc_length_at(t)) - float(
+                    rear.arc_length_at(t)
+                )
+                # Close each query's provenance trail so the
+                # error-attribution reporter works on t-fleet exports
+                # too.  Emitted in arrival order: part of the
+                # deterministic export.
+                with use_query_id(estimate.query_id):
+                    emit(
+                        "query.outcome",
+                        time_s=t,
+                        truth_m=truth,
+                        estimate_m=estimate.distance_m,
+                        error_m=(
+                            None
+                            if estimate.distance_m is None
+                            else abs(float(estimate.distance_m) - truth)
+                        ),
+                        resolved=estimate.resolved,
+                        cause=estimate.cause,
+                    )
+                result_outcomes.append((p, t, truth, estimate))
 
     # -- report ---------------------------------------------------------
     errors = [

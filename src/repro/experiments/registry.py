@@ -62,7 +62,7 @@ EXPERIMENTS: dict[str, Callable] = {
 
 
 #: Experiments whose callables accept a ``jobs=`` fan-out parameter.
-JOBS_AWARE = {"t-campaign", "t-fleet"}
+JOBS_AWARE = {"t-campaign"}
 
 
 def run_experiment(exp_id: str, **kwargs):

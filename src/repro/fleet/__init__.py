@@ -12,24 +12,19 @@ pipeline); this package scales that to a *fleet*:
   sessions, both addressed by vehicle id.
 * :mod:`repro.fleet.service` — :class:`FleetService`, the deterministic
   request path: ``submit()`` enqueues pair queries, ``tick()`` runs all
-  pending sessions' SYN searches as fixed-size cross-pair batches fanned
-  out over a :class:`~repro.runtime.DeterministicExecutor` (trajectories
-  travel as :mod:`repro.runtime.shared` refs, not payloads), then folds
-  each result back into its session in submission order, one round
-  per rung of the tracking ladder.  A session holds one undecided plan
-  at a time, so its later query in a tick is planned once its earlier
-  one is decided.
+  pending sessions' SYN searches as one cross-pair batched kernel call
+  per round, in the calling process, then folds each result back into
+  its session in submission order, one round per rung of the tracking
+  ladder.  A session holds one undecided plan at a time, so its later
+  query in a tick is planned once its earlier one is decided.
 
-Splitting every tracking period into a parent-side plan/absorb pair and
-pure batched searches (``RupsTracker.plan_update`` /
-``absorb_update``) is what keeps the fleet deterministic: all session
-state transitions happen in the submitting process, so results, merged
-metrics (modulo wall-clock ``span.*`` histograms) and the provenance
-event stream are byte-identical for any ``jobs``.
+Splitting every tracking period into a plan/absorb pair around a pure
+batched search (``RupsTracker.plan_update`` / ``absorb_update``) is
+what lets one search call serve many sessions while each session walks
+its ladder exactly as a dedicated tracker would.
 """
 
 from repro.fleet.service import (
-    DEFAULT_CHUNK_PAIRS,
     FleetEstimate,
     FleetQuery,
     FleetService,
@@ -38,7 +33,6 @@ from repro.fleet.service import (
 from repro.fleet.store import FleetStore, VehicleSlot
 
 __all__ = [
-    "DEFAULT_CHUNK_PAIRS",
     "FleetEstimate",
     "FleetQuery",
     "FleetService",

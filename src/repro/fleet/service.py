@@ -1,72 +1,49 @@
 """Deterministic batched request path over the fleet store.
 
 ``submit()`` enqueues a pair query; ``tick()`` answers everything
-pending in one deterministic sweep:
+pending in one deterministic sweep, in the calling process:
 
-1. **Plan** (parent, serial): a query serves its two trajectories out
-   of the store's resident builders and runs
-   :meth:`RupsTracker.plan_update` — context bookkeeping, staleness
-   decision, mode selection, trimming.  Queries that fail to serve
-   (unknown vehicle, drive still too short) become error estimates here
-   and never reach a search.  A session holds one undecided plan at a
-   time: a second query for the same ordered pair waits, and is planned
-   in the round after the first is decided.
-2. **Search** (workers, pure): all pending pairs are split into
-   fixed-size chunks (:func:`~repro.runtime.fixed_chunks` — layout set
-   by ``chunk_pairs``, never by ``jobs``, because the cross-pair batched
-   kernel's floats may depend on batch composition) and fanned out over
-   a :class:`~repro.runtime.DeterministicExecutor`.  With shared statics
-   on, every searched trajectory is published (content-keyed: a payload
-   already spooled is not rewritten) and ships as a
-   :class:`~repro.runtime.shared.SharedRef`; workers hold a resident
-   engine per config in the derived-object cache.
-3. **Absorb** (parent, serial, submission order): each estimate folds
-   back via :meth:`RupsTracker.absorb_update`, which decides every rung
-   of the tracking ladder.  A plan it leaves undecided names its next
-   search, and steps 1–3 repeat — planning the queries that waited on a
+1. **Plan** (serial): a query serves its two trajectories out of the
+   store's resident builders and runs :meth:`RupsTracker.plan_update`
+   — context bookkeeping, staleness decision, mode selection,
+   trimming.  Queries that fail to serve (unknown vehicle, drive still
+   too short) become error estimates here and never reach a search.  A
+   session holds one undecided plan at a time: a second query for the
+   same ordered pair waits, and is planned in the round after the
+   first is decided.
+2. **Search** (pure): every undecided plan's search runs in one
+   :meth:`RupsEngine.estimate_relative_distance_batch` call on the
+   service's engine, under the round's ``fleet.search_wave`` span.
+3. **Absorb** (serial, submission order): each estimate folds back via
+   :meth:`RupsTracker.absorb_update`, which decides every rung of the
+   tracking ladder.  A plan it leaves undecided names its next search,
+   and steps 1–3 repeat — planning the queries that waited on a
    now-decided session, searching every undecided plan — until every
    query is answered: the same loop consecutive
    :meth:`RupsTracker.update` calls run for one session.
 
-Because every state transition happens in the submitting process and
-the searches are pure, results, merged (invariant) metrics and the
-provenance event stream are byte-identical for any ``jobs`` — the same
-contract the campaign runtime enforces.  Wall-clock query latencies are
-real but never reproducible, so they are recorded into the service's
-*local* :attr:`FleetService.latency` registry, never the active
-(merged, exported) one.
+Results, the invariant metrics and the provenance event stream are pure
+functions of the submitted queries and the store's state.  Wall-clock
+query latencies are real but never reproducible, so they are recorded
+into the service's *local* :attr:`FleetService.latency` registry, never
+the active (exported) one.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass
 
-from repro.core.config import RupsConfig
-from repro.core.engine import RupsEngine, RupsEstimate
+from repro.core.engine import RupsEngine
 from repro.core.tracking import TrackerPlan, TrackerUpdate
 from repro.core.trajectory import GsmTrajectory
 from repro.fleet.store import FleetStore
 from repro.obs.events import emit, use_query_id
 from repro.obs.logconfig import get_logger
-from repro.obs.metrics import (
-    MetricsRegistry,
-    inc,
-    register_aux_registry,
-    unregister_aux_registry,
-)
-from repro.obs.tracing import (
-    deterministic_span_id,
-    query_span_id,
-    record_complete,
-    trace,
-)
-from repro.runtime import DeterministicExecutor, fixed_chunks
-from repro.runtime import shared as shared_store
+from repro.obs.metrics import MetricsRegistry, inc
+from repro.obs.tracing import query_span_id, record_complete, trace
 
 __all__ = [
-    "DEFAULT_CHUNK_PAIRS",
     "FleetEstimate",
     "FleetQuery",
     "FleetService",
@@ -74,11 +51,6 @@ __all__ = [
 ]
 
 _log = get_logger(__name__)
-
-#: Pair searches per worker chunk.  Fixed — never derived from ``jobs``
-#: — so the cross-pair kernel sees the same batch composition (and
-#: produces the same floats) under any worker count.
-DEFAULT_CHUNK_PAIRS = 8
 
 
 @dataclass(frozen=True)
@@ -132,49 +104,6 @@ class FleetTicket:
     estimate: FleetEstimate | None = None
 
 
-def _fleet_engine(config: RupsConfig) -> RupsEngine:
-    """The worker-resident fleet engine for this config.
-
-    One engine per distinct config per process (derived-object cache),
-    reused by every chunk the worker executes.  Fleet chunks only
-    estimate: the store's builders serve every trajectory.
-    """
-    return shared_store.derived(
-        ("fleet.engine", shared_store.content_key(config)),
-        lambda: RupsEngine(config),
-    )
-
-
-def _fleet_chunk_task(item: tuple) -> list[RupsEstimate]:
-    """Search one chunk of pending pairs (pure; runs in any worker).
-
-    The chunk carries refs (or, with shared statics off, the
-    trajectories themselves); the whole chunk is estimated by one
-    cross-pair batched SYN kernel call, with each pair's provenance
-    events tagged by its query id.
-
-    The chunk's span ID is precomputed by the submitting process (a pure
-    function of tick index, round index and chunk index), so the parent
-    can link each query span to the exact chunk that served it without
-    waiting for the worker's span snapshot.
-    """
-    pairs_in, anchors, query_ids, config, span_id = item
-    engine = _fleet_engine(config)
-    pairs = [
-        (shared_store.resolve(own), shared_store.resolve(other))
-        for own, other in pairs_in
-    ]
-    inc("fleet.chunks")
-    with trace(
-        "fleet.search_chunk",
-        span_id=span_id,
-        attrs=(("pairs", len(pairs)),),
-    ):
-        return engine.estimate_relative_distance_batch(
-            pairs, query_ids=list(query_ids), anchors=list(anchors)
-        )
-
-
 class FleetService:
     """Batched, deterministic relative-distance service over a store.
 
@@ -183,21 +112,10 @@ class FleetService:
     store:
         The fleet's resident state (builders + sessions).
     jobs:
-        Worker processes for the search fan-out (``1`` = inline).
-        Ignored when ``executor`` is given.
-    chunk_pairs:
-        Pair searches per worker chunk (fixed layout; see module doc).
-    shared_statics:
-        Ship trajectories to workers as content-addressed refs (one
-        publish per distinct trajectory per tick) instead of pickled
-        payloads.  Only engaged when a pool exists (``jobs > 1``).
-    executor:
-        Reuse an existing executor (its ``jobs`` wins; the caller keeps
-        ownership — it is not closed here).
-    flight:
-        Optional :class:`~repro.obs.flight.FlightRecorder`; when given,
-        every tick ends with an anomaly check that can dump the recent
-        span/event tail to JSONL (lock-drop storm, SLO breach).
+        Must be ``1``: the service plans, searches and absorbs in the
+        calling process.  A fleet round is a handful of small per-pair
+        searches, and a worker pool lost to one process on every
+        measured load; any other value raises ``ValueError``.
 
     Attributes
     ----------
@@ -206,46 +124,25 @@ class FleetService:
         wall-clock histograms (``fleet.query_latency_s``,
         ``fleet.tick_s``).  Deliberately never merged into the active
         registry: wall clock is real but not reproducible, and the
-        active registry carries the fleet's jobs-invariant metrics.  It
-        *is* registered as the ``"fleet.latency"`` auxiliary registry,
-        so the live ``/metrics`` endpoint and the SLO evaluator can see
-        the service's latency distributions while it runs.
+        active registry carries the fleet's deterministic metrics.
     """
 
-    def __init__(
-        self,
-        store: FleetStore,
-        jobs: int | None = 1,
-        chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
-        shared_statics: bool = True,
-        executor: DeterministicExecutor | None = None,
-        flight: "object | None" = None,
-    ) -> None:
-        if chunk_pairs < 1:
-            raise ValueError("chunk_pairs must be >= 1")
+    def __init__(self, store: FleetStore, jobs: int = 1) -> None:
+        if jobs != 1:
+            raise ValueError(
+                f"FleetService runs in one process: jobs must be 1, got {jobs!r}"
+            )
         self.store = store
-        self.chunk_pairs = int(chunk_pairs)
-        self.shared_statics = bool(shared_statics)
-        self._owns_executor = executor is None
-        self.executor = executor or DeterministicExecutor(jobs=jobs)
+        self._engine = RupsEngine(store.config)
         self.latency = MetricsRegistry()
-        self.flight = flight
         self._pending: list[FleetTicket] = []
-        self._ticks = 0
-        register_aux_registry("fleet.latency", self.latency)
-
-    # -- lifecycle -----------------------------------------------------
-    def __enter__(self) -> "FleetService":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     def close(self) -> None:
-        """Tear the owned executor down (a shared one is left alone)."""
-        if self._owns_executor:
-            self.executor.close()
-        unregister_aux_registry("fleet.latency", self.latency)
+        """Release nothing: the service holds no pool, files or threads.
+
+        Kept so callers that manage a service's lifetime (the repository
+        benchmark closes every workload) need not know that.
+        """
 
     # -- request path --------------------------------------------------
     def submit(self, query: FleetQuery) -> FleetTicket:
@@ -292,15 +189,11 @@ class FleetService:
         if not tickets:
             return []
         start_s = time.perf_counter()
-        tick_idx = self._ticks
-        self._ticks += 1
         inc("fleet.ticks")
         inc("fleet.queries", len(tickets))
 
         # Per-query causal links, accumulated phase by phase and written
-        # onto each query span at the end of the tick.  Every linked ID
-        # is a pure function of tick/round/chunk indices, so the links
-        # are as jobs-invariant as the results they explain.
+        # onto each query span at the end of the tick.
         links: list[list[str]] = [[] for _ in tickets]
 
         with trace("fleet.tick", attrs=(("queries", len(tickets)),)):
@@ -334,19 +227,23 @@ class FleetService:
                     pending.sort()
                 if not pending:
                     break
-                # Search every undecided plan (pure, batched, fanned
-                # out), then absorb in submission order (serial,
+                # Search every undecided plan in one batched call (pure),
+                # then absorb in submission order (serial,
                 # state-mutating): one round per rung of the ladder.
-                estimates, chunk_sids = self._batched_estimates(
-                    [plans[i] for i in pending],
-                    [tickets[i].query.query_id for i in pending],
-                    tick_idx=tick_idx,
-                    round_idx=rounds,
-                )
+                inc("fleet.searches", len(pending))
+                with trace(
+                    "fleet.search_wave",
+                    attrs=(("round", rounds), ("pairs", len(pending))),
+                ) as search_sid:
+                    estimates = self._engine.estimate_relative_distance_batch(
+                        [plans[i].pair for i in pending],
+                        query_ids=[tickets[i].query.query_id for i in pending],
+                        anchors=[plans[i].anchor for i in pending],
+                    )
                 undecided: list[int] = []
                 with trace("fleet.absorb", attrs=(("round", rounds),)) as absorb_sid:
-                    for i, estimate, sid in zip(pending, estimates, chunk_sids):
-                        links[i] += (sid, absorb_sid)
+                    for i, estimate in zip(pending, estimates):
+                        links[i] += (search_sid, absorb_sid)
                         q = tickets[i].query
                         tracker = self.store.session(q.own_id, q.other_id)
                         with use_query_id(q.query_id):
@@ -371,7 +268,7 @@ class FleetService:
                 # The query's causal root span: same ID the event ledger
                 # stamps on every exported event for this query id, so a
                 # bad exported estimate walks back — event → query span →
-                # linked chunk span — in one join.
+                # linked search span — in one join.
                 record_complete(
                     "fleet.query",
                     wall_s=end_s - ticket.submitted_s,
@@ -389,8 +286,6 @@ class FleetService:
             searched,
             rounds,
         )
-        if self.flight is not None:
-            self.flight.after_tick(self)
         return out
 
     # -- internals -----------------------------------------------------
@@ -445,72 +340,17 @@ class FleetService:
         except ValueError:
             return None, "too_short"
 
-    def _batched_estimates(
-        self,
-        plans: list[TrackerPlan],
-        query_ids: list[str],
-        tick_idx: int,
-        round_idx: int,
-    ) -> tuple[list[RupsEstimate], list[str]]:
-        """Run every plan's next search via fixed-size chunks over the
-        executor.
-
-        Returns the estimates plus, aligned with ``plans``, the span ID
-        of the chunk that computed each one.  Chunk span IDs are derived
-        here — ``(fleet.search, tick, round, chunk)`` — and handed to
-        the workers, so the submitting process can link query spans to
-        chunks without waiting for worker span snapshots, and the IDs
-        stay invariant under any worker count (chunk layout is fixed by
-        ``chunk_pairs``, never by ``jobs``).
-        """
-        pairs = [plan.pair for plan in plans]
-        if self.shared_statics and self.executor.jobs > 1:
-            # Refs, not payloads, ship: publishing is content-idempotent.
-            publish = self.executor.publish
-            pairs = [(publish(own), publish(other)) for own, other in pairs]
-        anchors = [plan.anchor for plan in plans]
-        items = []
-        pair_sids: list[str] = []
-        for chunk_idx, (chunk, chunk_anchors, ids) in enumerate(
-            zip(
-                fixed_chunks(pairs, self.chunk_pairs),
-                fixed_chunks(anchors, self.chunk_pairs),
-                fixed_chunks(query_ids, self.chunk_pairs),
-            )
-        ):
-            sid = deterministic_span_id(
-                "fleet.search", tick_idx, round_idx, chunk_idx
-            )
-            items.append((chunk, chunk_anchors, ids, self.store.config, sid))
-            pair_sids.extend([sid] * len(chunk))
-        inc("fleet.searches", len(plans))
-        with trace(
-            "fleet.search_wave",
-            attrs=(("round", round_idx), ("chunks", len(items))),
-        ):
-            chunk_results = self.executor.map_ordered(_fleet_chunk_task, items)
-        out: list[RupsEstimate] = []
-        for estimates in chunk_results:
-            out.extend(estimates)
-        return out, pair_sids
-
     @staticmethod
     def _from_update(q: FleetQuery, update: TrackerUpdate) -> FleetEstimate:
         estimate = update.estimate
-        # Intern the worker-produced strings: unpickled task results
-        # carry fresh (equal but distinct) string objects, while inline
-        # runs share one interned literal — pickling a whole result
-        # list memoises by identity, so without canonical identity the
-        # serialized bytes would differ between pooled and inline runs
-        # even though every value is equal.
         return FleetEstimate(
             query_id=q.query_id,
             own_id=q.own_id,
             other_id=q.other_id,
             distance_m=estimate.distance_m,
             resolved=estimate.resolved,
-            mode=sys.intern(update.mode),
+            mode=update.mode,
             locked=update.locked_after,
             degraded=update.degraded,
-            cause=sys.intern(estimate.cause) if estimate.cause else estimate.cause,
+            cause=estimate.cause,
         )

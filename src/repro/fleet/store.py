@@ -6,9 +6,8 @@ pipeline feeds, and one tracking session per *ordered* pair (``own``
 tracks ``other``).
 
 It is deliberately single-process and unlocked — one dict of slots and
-one of sessions: the deterministic fleet service runs all state
-transitions in the submitting process and fans only pure searches out
-to workers.
+one of sessions: the fleet service runs every state transition, and
+every search, in the calling process.
 """
 
 from __future__ import annotations

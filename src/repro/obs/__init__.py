@@ -35,16 +35,11 @@ the dependency-free substrate for that:
   comparer that fails CI on timing regressions.
 * :mod:`repro.obs.names` — the canonical registry of every metric
   name; a CI lint fails on emit sites using undeclared names.
-* :mod:`repro.obs.openmetrics` — OpenMetrics/Prometheus text
-  exposition of metrics snapshots, plus a validating parser.
-* :mod:`repro.obs.server` — an :mod:`http.server`-based ``/metrics``
-  + ``/healthz`` endpoint on a daemon thread.
-* :mod:`repro.obs.slo` — latency objectives and cause-taxonomy error
-  budgets evaluated over histogram/counter snapshots, with burn-rate
-  gauges.
-* :mod:`repro.obs.flight` — a flight recorder dumping the recent
-  span/event tail to JSONL on anomaly triggers (lock-drop storm,
-  latency-budget breach).
+
+Everything is read after a run, from files: the experiments CLI's
+``--metrics-out`` (counters, gauges, span histograms and its stage
+latency table), ``--trace-out`` (the span ring), ``--events-out`` (the
+provenance ledger) and its ``report`` mode.  There is no live endpoint.
 
 Nothing here imports beyond the standard library, and all hot-path
 primitives are plain dict operations — cheap enough to leave enabled
@@ -59,25 +54,17 @@ from repro.obs.events import (
     use_ledger,
     use_query_id,
 )
-from repro.obs.flight import FlightRecorder
 from repro.obs.logconfig import configure_logging, get_logger
 from repro.obs.metrics import (
     DEFAULT_TIME_BUCKETS_S,
     MetricsRegistry,
-    QuantileEstimate,
-    aux_registries,
     get_registry,
     inc,
     invariant_snapshot,
     observe,
-    quantile_detail,
-    quantile_from,
-    register_aux_registry,
     set_gauge,
-    unregister_aux_registry,
     use_registry,
 )
-from repro.obs.server import MetricsServer
 from repro.obs.tracing import (
     Span,
     SpanRecorder,
@@ -92,13 +79,9 @@ from repro.obs.tracing import (
 __all__ = [
     "DEFAULT_TIME_BUCKETS_S",
     "EventLedger",
-    "FlightRecorder",
     "MetricsRegistry",
-    "MetricsServer",
-    "QuantileEstimate",
     "Span",
     "SpanRecorder",
-    "aux_registries",
     "configure_logging",
     "current_query_id",
     "deterministic_span_id",
@@ -109,14 +92,10 @@ __all__ = [
     "inc",
     "invariant_snapshot",
     "observe",
-    "quantile_detail",
-    "quantile_from",
     "query_span_id",
     "record_complete",
-    "register_aux_registry",
     "set_gauge",
     "trace",
-    "unregister_aux_registry",
     "use_ledger",
     "use_query_id",
     "use_recorder",

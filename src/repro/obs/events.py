@@ -14,9 +14,9 @@ Since PR 10 every exported event also carries a *trace exemplar*: the
 deterministic span ID of the query's causal root span
 (:func:`~repro.obs.tracing.query_span_id`, a pure function of the query
 id, so worker-side emits and the submitting process's query span agree
-without shipping state).  A suspicious exported estimate can therefore
-be walked back — event → query span → the chunk span that produced it —
-across the process boundary.
+without shipping state).  A suspicious exported fleet estimate can
+therefore be walked back — event → query span → the search span that
+produced it.
 
 Design constraints, matching the metrics layer it sits beside:
 

@@ -26,23 +26,16 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Any, Iterator, Mapping, Sequence
 
 __all__ = [
     "DEFAULT_TIME_BUCKETS_S",
     "MetricsRegistry",
-    "QuantileEstimate",
-    "aux_registries",
     "get_registry",
     "inc",
     "invariant_snapshot",
     "observe",
-    "quantile_detail",
-    "quantile_from",
-    "register_aux_registry",
     "set_gauge",
-    "unregister_aux_registry",
     "use_registry",
 ]
 
@@ -91,75 +84,6 @@ class _Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-
-
-@dataclass(frozen=True)
-class QuantileEstimate:
-    """A quantile estimate plus the flags that qualify it.
-
-    ``empty`` — no observations (``value`` is NaN).  ``overflow_only``
-    — every observation exceeded the last bucket edge, so the histogram
-    carries no interior rank information; ``value`` is interpolated
-    between the observed min and max and clamped, which is honest but
-    coarse.  SLO evaluation and reports surface the flag rather than
-    presenting the clamp as a resolved percentile.
-    """
-
-    value: float
-    empty: bool = False
-    overflow_only: bool = False
-
-
-def _quantile_core(
-    edges: Sequence[float],
-    counts: Sequence[int],
-    count: int,
-    vmin: float,
-    vmax: float,
-    q: float,
-) -> QuantileEstimate:
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must be in [0, 1]")
-    if count == 0:
-        return QuantileEstimate(float("nan"), empty=True)
-    if count == counts[-1]:
-        # Every observation landed past the last edge: interior buckets
-        # carry nothing, interpolate the observed range and flag it.
-        value = vmin + (vmax - vmin) * q
-        return QuantileEstimate(
-            min(max(value, vmin), vmax), overflow_only=True
-        )
-    target = q * count
-    cumulative = 0
-    for i, bucket_count in enumerate(counts):
-        if bucket_count == 0:
-            continue
-        if cumulative + bucket_count >= target:
-            lo = vmin if i == 0 else edges[i - 1]
-            hi = vmax if i == len(edges) else edges[i]
-            fraction = (target - cumulative) / bucket_count
-            value = lo + (hi - lo) * fraction
-            return QuantileEstimate(min(max(value, vmin), vmax))
-        cumulative += bucket_count
-    return QuantileEstimate(vmax)
-
-
-def quantile_detail(data: Mapping[str, Any], q: float) -> QuantileEstimate:
-    """Quantile of a snapshot-shaped histogram dict, with flags.
-
-    ``data`` is one entry of ``snapshot()["histograms"]`` — the shared
-    currency between live registries, merged snapshots, and exported
-    JSON — so SLO evaluation works identically on all three.
-    """
-    return _quantile_core(
-        data["edges"], data["counts"], data["count"],
-        data["min"], data["max"], q,
-    )
-
-
-def quantile_from(data: Mapping[str, Any], q: float) -> float:
-    """Quantile value of a snapshot-shaped histogram dict (NaN if empty)."""
-    return quantile_detail(data, q).value
 
 
 class MetricsRegistry:
@@ -228,23 +152,32 @@ class MetricsRegistry:
         bucket's lower bound taken as the observed minimum and the
         overflow bucket's upper bound as the observed maximum (a fixed-
         bucket histogram knows nothing tighter).  The result is clamped
-        to ``[min, max]``.  Returns NaN for an absent or empty
-        histogram; raises for ``q`` outside ``[0, 1]``.  See
-        :meth:`quantile_detail` for the qualifying flags (empty /
-        overflow-only).
+        to ``[min, max]``; when every observation overflowed the last
+        edge, the observed range is interpolated.  Returns NaN for an
+        absent or empty histogram; raises for ``q`` outside ``[0, 1]``.
         """
-        return self.quantile_detail(name, q).value
-
-    def quantile_detail(self, name: str, q: float) -> QuantileEstimate:
-        """Like :meth:`quantile`, with the flags that qualify the value."""
         if not 0.0 <= q <= 1.0:
             raise ValueError("q must be in [0, 1]")
         hist = self._histograms.get(name)
         if hist is None or hist.count == 0:
-            return QuantileEstimate(float("nan"), empty=True)
-        return _quantile_core(
-            hist.edges, hist.counts, hist.count, hist.min, hist.max, q
-        )
+            return float("nan")
+        vmin, vmax = hist.min, hist.max
+        if hist.count == hist.counts[-1]:
+            # Every observation landed past the last edge: interior
+            # buckets carry nothing, so interpolate the observed range.
+            return min(max(vmin + (vmax - vmin) * q, vmin), vmax)
+        target = q * hist.count
+        cumulative = 0
+        for i, bucket_count in enumerate(hist.counts):
+            if bucket_count == 0:
+                continue
+            if cumulative + bucket_count >= target:
+                lo = vmin if i == 0 else hist.edges[i - 1]
+                hi = vmax if i == len(hist.edges) else hist.edges[i]
+                fraction = (target - cumulative) / bucket_count
+                return min(max(lo + (hi - lo) * fraction, vmin), vmax)
+            cumulative += bucket_count
+        return vmax
 
     # -- snapshot / merge ----------------------------------------------
     def snapshot(self) -> dict[str, Any]:
@@ -384,34 +317,3 @@ def observe(
 ) -> None:
     """Record a histogram observation on the active registry."""
     _STACK[-1].observe(name, value, buckets=buckets)
-
-
-#: Named auxiliary registries for exporters that want *everything*.
-#: Components that keep private registries (the fleet service's
-#: wall-clock latency histograms live outside the deterministic merge on
-#: purpose) register them here so the /metrics endpoint and the SLO
-#: evaluator can see them without the exporter knowing the component.
-_AUX: dict[str, MetricsRegistry] = {}
-
-
-def register_aux_registry(name: str, registry: MetricsRegistry) -> None:
-    """Expose ``registry`` to exporters under ``name`` (last wins)."""
-    _AUX[name] = registry
-
-
-def unregister_aux_registry(
-    name: str, registry: MetricsRegistry | None = None
-) -> None:
-    """Remove ``name`` — only if it still maps to ``registry`` when given.
-
-    The guard keeps a closing component from tearing down a newer
-    component's registration that reused the name.
-    """
-    if registry is not None and _AUX.get(name) is not registry:
-        return
-    _AUX.pop(name, None)
-
-
-def aux_registries() -> dict[str, MetricsRegistry]:
-    """A copy of the current name → auxiliary-registry map."""
-    return dict(_AUX)

@@ -48,7 +48,6 @@ COUNTERS: frozenset[str] = frozenset(
         "engine.estimates.resolved",
         "engine.estimates.unresolved",
         "experiments.runs",
-        "fleet.chunks",
         "fleet.queries",
         "fleet.replays",
         "fleet.searches",
@@ -59,7 +58,6 @@ COUNTERS: frozenset[str] = frozenset(
         "fleet.store.vehicles_dropped",
         "fleet.submits",
         "fleet.ticks",
-        "flight.dumps",
         "runtime.shared.checkout.hit",
         "runtime.shared.checkout.load",
         "runtime.shared.derived.build",
@@ -133,8 +131,8 @@ GAUGES: frozenset[str] = frozenset(
     }
 )
 
-#: Computed gauge families: per-objective SLO attainment/burn gauges.
-GAUGE_PREFIXES: tuple[str, ...] = ("slo.",)
+#: Computed gauge families: none; every gauge is a fixed series.
+GAUGE_PREFIXES: tuple[str, ...] = ()
 
 
 def _registered(

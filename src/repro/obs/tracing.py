@@ -325,9 +325,7 @@ def trace(
     """Time a stage: ring-buffer span + ``span.<name>`` histogram entry.
 
     Yields the span's ID (derived from the recorder context unless an
-    explicit ``span_id`` is given — the fleet service precomputes chunk
-    span IDs so the submitting process can link query spans to worker
-    chunks without waiting for their snapshots).
+    explicit ``span_id`` is given), so later spans can link to it.
     """
     recorder = _STACK[-1]
     parent_name, parent_id = (

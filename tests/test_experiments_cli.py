@@ -238,86 +238,35 @@ class TestCliObservability:
         with pytest.raises(ValueError):
             main(["fig1", "--log-level", "NOISY"])
 
-
-class TestCliOpsPlane:
-    """The operational flags: --serve-metrics, --prom-out, --slo,
-    --flight-out, end to end on a small t-fleet replay."""
-
-    def test_fleet_replay_with_full_ops_plane(self, tmp_path, capsys):
-        from repro.obs.openmetrics import parse
-
-        prom = tmp_path / "prom.txt"
-        flight = tmp_path / "flight.jsonl"
+    def test_fleet_replay_writes_metrics_events_and_trace(self, tmp_path, capsys):
+        metrics, events, trace = (
+            tmp_path / name for name in ("m.json", "e.jsonl", "t.json")
+        )
         with use_registry(MetricsRegistry()), use_ledger(
             EventLedger()
-        ), use_recorder(SpanRecorder(capacity=8192)):
+        ), use_recorder(SpanRecorder()):
             assert (
                 main(
-                    [
-                        "t-fleet",
-                        "--vehicles",
-                        "4",
-                        "--duration",
-                        "90",
-                        "--seed",
-                        "5",
-                        "--serve-metrics",
-                        "0",
-                        "--prom-out",
-                        str(prom),
-                        "--slo",
-                        "--flight-out",
-                        str(flight),
-                    ]
+                    ["t-fleet", "--vehicles", "4", "--duration", "90"]
+                    + ["--seed", "5", "--jobs", "2"]
+                    + ["--metrics-out", str(metrics), "--events-out", str(events)]
+                    + ["--trace-out", str(trace)]
                 )
                 == 0
             )
         out = capsys.readouterr().out
-        assert "[serving metrics at http://127.0.0.1:" in out
-        assert "SLO report" in out
-        assert "fleet_query_p99:" in out
-        assert "[flight recorder: 1 dump(s) written to" in out
-        assert "(scraped from live endpoint)" in out
-        # The scraped exposition is valid OpenMetrics and carries the
-        # replay's series, the aux latency histogram, and SLO gauges.
-        families = parse(prom.read_text())
-        assert "fleet_queries" in families
-        assert "fleet_query_latency_s" in families
-        assert any(name.startswith("slo_") for name in families)
-        # The flight dump is a well-formed black box of the run.
-        records = [
-            json.loads(line) for line in flight.read_text().splitlines()
+        assert "p99 latency (ms)" in out  # the replay's own latency table
+        assert "fleet.search_wave" in out  # the stage latency table
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["fleet.queries"] == counters["fleet.submits"] > 0
+        outcomes = [
+            e
+            for e in map(json.loads, events.read_text().splitlines())
+            if e["kind"] == "query.outcome"
         ]
-        header = records[0]
-        assert header["kind"] == "flight.header"
-        assert header["trigger"] == "end_of_run"
-        assert header["n_spans"] > 0 and header["n_events"] > 0
-        kinds = {r["kind"] for r in records}
-        assert kinds == {"flight.header", "flight.span", "flight.event"}
-
-    def test_prom_out_without_server_renders_directly(self, tmp_path, capsys):
-        from repro.obs.openmetrics import parse
-
-        prom = tmp_path / "prom.txt"
-        with use_registry(MetricsRegistry()), use_recorder(SpanRecorder()):
-            assert (
-                main(["fig1", "--seed", "2", "--prom-out", str(prom)]) == 0
-            )
-        out = capsys.readouterr().out
-        assert "(rendered)" in out
-        assert parse(prom.read_text())
-
-    def test_slo_without_fleet_reports_no_data(self, capsys, monkeypatch):
-        from repro.obs import metrics
-
-        # A fleet replay leaves its latency registry registered so the
-        # post-run --slo can read it; start this test aux-free.
-        monkeypatch.setattr(metrics, "_AUX", {})
-        with use_registry(MetricsRegistry()), use_recorder(SpanRecorder()):
-            assert main(["fig1", "--seed", "2", "--slo"]) == 0
-        out = capsys.readouterr().out
-        assert "SLO report" in out
-        assert "NO DATA" in out
+        assert len(outcomes) == counters["fleet.queries"]
+        names = {s["name"] for s in json.loads(trace.read_text())["spans"]}
+        assert "fleet.query" in names
 
 
 class TestCliReport:

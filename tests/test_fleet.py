@@ -5,8 +5,9 @@ service's error/ordering contracts, plus the service-vs-direct-tracker
 differential: a :class:`FleetService` answering one pair's queries must
 walk the session through bit-for-bit the same updates a dedicated
 :meth:`RupsTracker.update` loop produces over identically built
-trajectories.  The jobs/shared-statics invariance of the full replay
-lives in ``tests/test_runtime_determinism.py``.
+trajectories, and the walk from an exported event back to the search
+that produced its estimate.  The full replay's answers are pinned by
+``tests/test_goldens_fleet.py``.
 """
 
 from __future__ import annotations
@@ -18,8 +19,11 @@ from repro.core.config import RupsConfig
 from repro.core.engine import RupsEngine, RupsEstimate
 from repro.core.tracking import RupsTracker
 from repro.core.trajectory import TrajectoryBuilder
+from repro.experiments.fleet import fleet_replay
 from repro.fleet import FleetQuery, FleetService, FleetStore
+from repro.obs.events import EventLedger, use_ledger
 from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.tracing import SpanRecorder, query_span_id, use_recorder
 from repro.sensors.deadreckoning import EstimatedTrack
 
 CFG = RupsConfig(context_length_m=600.0, window_channels=30)
@@ -152,10 +156,10 @@ class TestFleetService:
         return store
 
     def test_unknown_vehicle_becomes_error_estimate(self):
-        with FleetService(FleetStore(CFG)) as service:
-            est = service.estimate(
-                FleetQuery(query_id="q0", own_id="a", other_id="b")
-            )
+        service = FleetService(FleetStore(CFG))
+        est = service.estimate(
+            FleetQuery(query_id="q0", own_id="a", other_id="b")
+        )
         assert est.error == "unknown_vehicle"
         assert not est.resolved
         assert est.distance_m is None
@@ -172,27 +176,27 @@ class TestFleetService:
         )
         store.ingest("rear", rear.scan.slice(0, 0), track)
         _feed(store, "front", shared_pair.front, float(rear.estimated.times_s[0]) + 20.0, {})
-        with FleetService(store) as service:
-            est = service.estimate(
-                FleetQuery(query_id="q0", own_id="rear", other_id="front")
-            )
+        service = FleetService(store)
+        est = service.estimate(
+            FleetQuery(query_id="q0", own_id="rear", other_id="front")
+        )
         assert est.error == "too_short"
         assert not est.resolved
 
     def test_tick_answers_in_submission_order(self, shared_pair):
         _, t1 = shared_pair.query_window(context_length_m=600.0)
         store = self._loaded_store(shared_pair, [t1])
-        with FleetService(store) as service:
-            tickets = [
-                service.submit(
-                    FleetQuery(query_id=f"q{i}", own_id=own, other_id=other)
-                )
-                for i, (own, other) in enumerate(
-                    [("rear", "front"), ("front", "rear"), ("rear", "ghost")]
-                )
-            ]
-            assert service.n_pending == 3
-            answers = service.tick(at_time_s=t1)
+        service = FleetService(store)
+        tickets = [
+            service.submit(
+                FleetQuery(query_id=f"q{i}", own_id=own, other_id=other)
+            )
+            for i, (own, other) in enumerate(
+                [("rear", "front"), ("front", "rear"), ("rear", "ghost")]
+            )
+        ]
+        assert service.n_pending == 3
+        answers = service.tick(at_time_s=t1)
         assert service.n_pending == 0
         assert [a.query_id for a in answers] == ["q0", "q1", "q2"]
         for ticket, answer in zip(tickets, answers):
@@ -201,12 +205,13 @@ class TestFleetService:
         assert answers[0].resolved  # the pair is well within range
 
     def test_empty_tick_is_a_noop(self):
-        with FleetService(FleetStore(CFG)) as service:
-            assert service.tick() == []
+        service = FleetService(FleetStore(CFG))
+        assert service.tick() == []
 
-    def test_chunk_pairs_validated(self):
-        with pytest.raises(ValueError):
-            FleetService(FleetStore(CFG), chunk_pairs=0)
+    def test_jobs_other_than_one_rejected(self):
+        FleetService(FleetStore(CFG), jobs=1)
+        with pytest.raises(ValueError, match="jobs must be 1"):
+            FleetService(FleetStore(CFG), jobs=2)
 
     def test_service_matches_direct_tracker_loop(self, shared_pair):
         """The batched service path is the tracker loop, exactly.
@@ -224,32 +229,32 @@ class TestFleetService:
         svc_cuts: dict = {}
         ref_cuts: dict = {}
         resolved = 0
-        with FleetService(svc_store) as service:
-            for i, t in enumerate(times):
-                for store, cuts in (
-                    (svc_store, svc_cuts),
-                    (ref_store, ref_cuts),
-                ):
-                    _feed(store, "rear", shared_pair.rear, t, cuts)
-                    _feed(store, "front", shared_pair.front, t, cuts)
-                est = service.estimate(
-                    FleetQuery(
-                        query_id=f"q{i}", own_id="rear", other_id="front"
-                    ),
-                    at_time_s=t,
-                )
-                update = reference.update(
-                    ref_store.trajectory("rear", at_time_s=t),
-                    ref_store.trajectory("front", at_time_s=t),
-                )
-                assert est.distance_m == update.estimate.distance_m
-                assert est.resolved == update.estimate.resolved
-                assert est.mode == update.mode
-                assert est.locked == update.locked_after
-                assert est.degraded == update.degraded
-                assert est.cause == update.estimate.cause
-                assert est.error is None
-                resolved += est.resolved
+        service = FleetService(svc_store)
+        for i, t in enumerate(times):
+            for store, cuts in (
+                (svc_store, svc_cuts),
+                (ref_store, ref_cuts),
+            ):
+                _feed(store, "rear", shared_pair.rear, t, cuts)
+                _feed(store, "front", shared_pair.front, t, cuts)
+            est = service.estimate(
+                FleetQuery(
+                    query_id=f"q{i}", own_id="rear", other_id="front"
+                ),
+                at_time_s=t,
+            )
+            update = reference.update(
+                ref_store.trajectory("rear", at_time_s=t),
+                ref_store.trajectory("front", at_time_s=t),
+            )
+            assert est.distance_m == update.estimate.distance_m
+            assert est.resolved == update.estimate.resolved
+            assert est.mode == update.mode
+            assert est.locked == update.locked_after
+            assert est.degraded == update.degraded
+            assert est.cause == update.estimate.cause
+            assert est.error is None
+            resolved += est.resolved
         assert resolved > 0
         session = svc_store.session("rear", "front")
         assert session.locked == reference.locked
@@ -291,34 +296,34 @@ class TestFleetService:
         svc_metrics, ref_metrics = MetricsRegistry(), MetricsRegistry()
         svc_cuts: dict = {}
         ref_cuts: dict = {}
-        with FleetService(svc_store) as service:
-            for i, t in enumerate(times):
-                for store, cuts in (
-                    (svc_store, svc_cuts),
-                    (ref_store, ref_cuts),
-                ):
-                    _feed(store, "rear", shared_pair.rear, t, cuts)
-                    _feed(store, "front", shared_pair.front, t, cuts)
-                failing[0] = i % 2 == 1
-                with use_registry(svc_metrics):
-                    est = service.estimate(
-                        FleetQuery(
-                            query_id=f"q{i}", own_id="rear", other_id="front"
-                        ),
-                        at_time_s=t,
-                    )
-                with use_registry(ref_metrics):
-                    update = reference.update(
-                        ref_store.trajectory("rear", at_time_s=t),
-                        ref_store.trajectory("front", at_time_s=t),
-                    )
-                assert est.distance_m == update.estimate.distance_m
-                assert est.resolved == update.estimate.resolved
-                assert est.mode == update.mode
-                assert est.locked == update.locked_after
-                assert est.degraded == update.degraded
-                assert est.cause == update.estimate.cause
-                assert est.error is None
+        service = FleetService(svc_store)
+        for i, t in enumerate(times):
+            for store, cuts in (
+                (svc_store, svc_cuts),
+                (ref_store, ref_cuts),
+            ):
+                _feed(store, "rear", shared_pair.rear, t, cuts)
+                _feed(store, "front", shared_pair.front, t, cuts)
+            failing[0] = i % 2 == 1
+            with use_registry(svc_metrics):
+                est = service.estimate(
+                    FleetQuery(
+                        query_id=f"q{i}", own_id="rear", other_id="front"
+                    ),
+                    at_time_s=t,
+                )
+            with use_registry(ref_metrics):
+                update = reference.update(
+                    ref_store.trajectory("rear", at_time_s=t),
+                    ref_store.trajectory("front", at_time_s=t),
+                )
+            assert est.distance_m == update.estimate.distance_m
+            assert est.resolved == update.estimate.resolved
+            assert est.mode == update.mode
+            assert est.locked == update.locked_after
+            assert est.degraded == update.degraded
+            assert est.cause == update.estimate.cause
+            assert est.error is None
         retries = ref_metrics.counter("tracker.full_retries")
         assert retries > 0
         assert svc_metrics.counter("tracker.full_retries") == retries
@@ -344,40 +349,40 @@ class TestFleetService:
         svc_metrics, ref_metrics = MetricsRegistry(), MetricsRegistry()
         svc_cuts: dict = {}
         ref_cuts: dict = {}
-        with FleetService(svc_store) as service:
-            for i, t in enumerate(times):
-                for store, cuts in (
-                    (svc_store, svc_cuts),
-                    (ref_store, ref_cuts),
-                ):
-                    _feed(store, "rear", shared_pair.rear, t, cuts)
-                    _feed(store, "front", shared_pair.front, t, cuts)
-                with use_registry(svc_metrics):
-                    for k in range(2):
-                        service.submit(
-                            FleetQuery(
-                                query_id=f"q{i}.{k}",
-                                own_id="rear",
-                                other_id="front",
-                            )
+        service = FleetService(svc_store)
+        for i, t in enumerate(times):
+            for store, cuts in (
+                (svc_store, svc_cuts),
+                (ref_store, ref_cuts),
+            ):
+                _feed(store, "rear", shared_pair.rear, t, cuts)
+                _feed(store, "front", shared_pair.front, t, cuts)
+            with use_registry(svc_metrics):
+                for k in range(2):
+                    service.submit(
+                        FleetQuery(
+                            query_id=f"q{i}.{k}",
+                            own_id="rear",
+                            other_id="front",
                         )
-                    answers = service.tick(at_time_s=t)
-                with use_registry(ref_metrics):
-                    updates = [
-                        reference.update(
-                            ref_store.trajectory("rear", at_time_s=t),
-                            ref_store.trajectory("front", at_time_s=t),
-                        )
-                        for _ in range(2)
-                    ]
-                for est, update in zip(answers, updates):
-                    assert est.distance_m == update.estimate.distance_m
-                    assert est.resolved == update.estimate.resolved
-                    assert est.mode == update.mode
-                    assert est.locked == update.locked_after
-                    assert est.degraded == update.degraded
-                    assert est.cause == update.estimate.cause
-                    assert est.error is None
+                    )
+                answers = service.tick(at_time_s=t)
+            with use_registry(ref_metrics):
+                updates = [
+                    reference.update(
+                        ref_store.trajectory("rear", at_time_s=t),
+                        ref_store.trajectory("front", at_time_s=t),
+                    )
+                    for _ in range(2)
+                ]
+            for est, update in zip(answers, updates):
+                assert est.distance_m == update.estimate.distance_m
+                assert est.resolved == update.estimate.resolved
+                assert est.mode == update.mode
+                assert est.locked == update.locked_after
+                assert est.degraded == update.degraded
+                assert est.cause == update.estimate.cause
+                assert est.error is None
         acquired = ref_metrics.counter("tracker.lock_acquired")
         assert acquired > 0
         assert svc_metrics.counter("tracker.lock_acquired") == acquired
@@ -385,3 +390,51 @@ class TestFleetService:
         session = svc_store.session("rear", "front")
         assert session.locked == reference.locked
         assert len(session.history) == len(reference.history)
+
+
+class TestFleetProvenance:
+    def test_exported_event_walks_back_to_search_span(self, small_plan):
+        """One seeded replay: exported event → query span → search span.
+
+        An exported event carries its query's deterministic span ID;
+        that span's links name the plan, the search wave and the absorb
+        spans of every round that decided the query.
+        """
+        ledger = EventLedger()
+        recorder = SpanRecorder(capacity=8192)
+        with use_registry(MetricsRegistry()), use_ledger(ledger), use_recorder(
+            recorder
+        ):
+            fleet_replay(
+                n_vehicles=4,
+                duration_s=90.0,
+                update_period_s=1.0,
+                query_rate_hz=2.0,
+                seed=5,
+                plan=small_plan,
+                config=RupsConfig(context_length_m=500.0, window_channels=20),
+            )
+        assert recorder.dropped == 0
+        spans = {s["span_id"]: s for s in recorder.structural()["spans"]}
+        walked = 0
+        for event in ledger.to_dicts():
+            if event["query_id"] is None:
+                continue
+            # Every per-query event's exemplar is the deterministic
+            # query-span ID — computable from the query id alone.
+            assert event["span_id"] == query_span_id(event["query_id"])
+            query_span = spans[event["span_id"]]
+            assert query_span["name"] == "fleet.query"
+            assert query_span["attrs"]["query_id"] == event["query_id"]
+            linked = [spans[sid] for sid in query_span["links"]]
+            names = [s["name"] for s in linked]
+            assert "fleet.plan" in names
+            searches = [s for s in linked if s["name"] == "fleet.search_wave"]
+            assert searches  # every replay query is served and searched
+            assert names.count("fleet.absorb") == len(searches)
+            for search in searches:
+                assert search["attrs"]["pairs"] >= 1
+                assert search["trace_id"] == recorder.trace_id
+            walked += 1
+        # The join must actually fire, not pass over an empty ledger.
+        assert walked > 0

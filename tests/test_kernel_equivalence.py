@@ -299,8 +299,8 @@ def random_pair_batch(seed: int, n_pairs: int):
     The mix rotates per pair through genuine overlaps, disjoint signals,
     too-short contexts (pairs that contribute *no* sweep to the batch),
     degenerate constant/NaN windows, and convoy pairs that share one
-    target trajectory *object* — the case where the sweep actually
-    stacks several pairs into one matmul.
+    target trajectory *object* (each pair still sweeps its own sliding
+    statistics: the search builds them per request).
     """
     rng = np.random.default_rng(1_000_000 + seed)
     n_ch = int(rng.integers(3, 8))
@@ -357,8 +357,7 @@ def random_pair_batch(seed: int, n_pairs: int):
                 own_p[rng.random(own_p.shape) < 0.01] = np.nan
         own = make_trajectory(own_p, spacing)
         if kind == "convoy":
-            # Several pairs share this one target object: the sweep
-            # groups them into a single stacked matmul.
+            # Several pairs share this one target object.
             pairs.append((own, convoy_head))
             continue
         lb = int(rng.integers(60, road_len + 1))
@@ -421,8 +420,10 @@ class TestBatchDifferentialQuick:
             )
 
     def test_shared_target_convoy_grouping(self):
-        """All pairs share one target object — maximal stacking — and the
-        per-pair decisions still match the reference exactly."""
+        """All pairs share one target object — a convoy head probed by
+        several followers — and the per-pair decisions still match the
+        reference exactly.  Each pair sweeps its own sliding statistics,
+        so the shared object is never scored in a shared GEMM."""
         rng = np.random.default_rng(77)
         road = _road_signal(rng, 6, 260)
         head = make_trajectory(road[:, :200] + rng.normal(0, 1.0, (6, 200)))

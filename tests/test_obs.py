@@ -157,43 +157,14 @@ class TestQuantiles:
         reg.observe("a", 1.0)
         assert reg.histogram_names() == ["b", "a"]  # creation order
 
-    def test_empty_detail_is_flagged(self):
-        from repro.obs import QuantileEstimate
-
-        reg = MetricsRegistry()
-        est = reg.quantile_detail("never", 0.5)
-        assert isinstance(est, QuantileEstimate)
-        assert est.empty and not est.overflow_only
-        assert math.isnan(est.value)
-
-    def test_overflow_only_clamps_and_flags(self):
+    def test_overflow_only_interpolates_observed_range(self):
         # Every observation past the last edge: the interior buckets
         # carry no rank information, so the estimate interpolates the
-        # observed range, clamps to it, and says so.
+        # observed range and clamps to it.
         reg = self._hist([10.0, 20.0, 40.0])  # edges end at 4.0
-        est = reg.quantile_detail("h", 0.5)
-        assert est.overflow_only and not est.empty
-        assert 10.0 <= est.value <= 40.0
-        assert est.value == pytest.approx(25.0)
-        assert reg.quantile_detail("h", 0.0).value == 10.0
-        assert reg.quantile_detail("h", 1.0).value == 40.0
-        # The plain quantile() view still returns the clamped value.
+        assert reg.quantile("h", 0.5) == pytest.approx(25.0)
+        assert reg.quantile("h", 0.0) == 10.0
         assert reg.quantile("h", 1.0) == 40.0
-
-    def test_normal_estimate_carries_no_flags(self):
-        est = self._hist([0.5, 1.5, 3.0]).quantile_detail("h", 0.5)
-        assert not est.empty and not est.overflow_only
-
-    def test_snapshot_helpers_match_registry(self):
-        from repro.obs import quantile_detail, quantile_from
-
-        reg = self._hist([0.5, 1.5, 3.0, 10.0])
-        data = reg.snapshot()["histograms"]["h"]
-        for q in (0.0, 0.25, 0.5, 0.9, 1.0):
-            assert quantile_from(data, q) == reg.quantile("h", q)
-        assert quantile_detail(data, 0.5) == reg.quantile_detail("h", 0.5)
-        with pytest.raises(ValueError, match="q must be"):
-            quantile_from(data, 1.5)
 
 
 class TestSnapshotMerge:

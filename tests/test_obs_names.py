@@ -63,7 +63,7 @@ class TestEmitSitesAreRegistered:
         literals = {literal for *_, literal in sites}
         assert "fleet.query_latency_s" in literals  # multiline observe(
         assert "span." in literals  # f-string family
-        assert "slo." in literals  # method call on a registry
+        assert "fleet.tick_s" in literals  # method call on a registry
 
     def test_every_emit_site_uses_a_declared_name(self):
         violations = []
@@ -129,16 +129,16 @@ class TestRegistryHelpers:
                 "fleet.query_latency_s",
                 "span.syn.search",
             ),
-            (
-                names.is_registered_gauge,
-                "fleet.store.vehicles",
-                "slo.fleet_query_p99.burn",
-            ),
+            # Gauges have no computed family: only exact names register.
+            (names.is_registered_gauge, "fleet.store.vehicles", None),
         ],
     )
     def test_exact_and_prefix_matching(self, checker, exact, prefixed):
         assert checker(exact)
-        assert checker(prefixed)
+        if prefixed is None:
+            assert not checker(exact + ".extra")
+        else:
+            assert checker(prefixed)
         assert not checker("totally.unknown.series")
 
     def test_families_are_disjoint_kinds(self):

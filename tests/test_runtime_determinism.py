@@ -9,19 +9,14 @@ artifacts.
 
 import io
 import json
-import os
 import pickle
-import tempfile
 
 import pytest
 
 from repro import obs
-from repro.core.config import RupsConfig
 from repro.experiments.campaign import run_campaign
-from repro.experiments.fleet import fleet_replay
 from repro.experiments.registry import run_experiment, run_experiments
 from repro.obs import (
-    FlightRecorder,
     MetricsRegistry,
     SpanRecorder,
     invariant_snapshot,
@@ -30,25 +25,11 @@ from repro.obs import (
     use_registry,
 )
 from repro.obs.events import EventLedger, use_ledger
-from repro.obs.openmetrics import parse, render
 from repro.runtime import DeterministicExecutor
 
 SMALL_CAMPAIGN = dict(
     route_length_m=6000.0, n_drives=2, queries_per_drive=3, seed=7
 )
-
-#: Small but genuinely pooled fleet replay: with ``chunk_pairs=2`` a
-#: tick's searches split into several chunks, so ``jobs > 1`` really
-#: crosses process boundaries (one-chunk waves run inline by design).
-SMALL_FLEET = dict(
-    n_vehicles=4,
-    duration_s=90.0,
-    update_period_s=1.0,
-    query_rate_hz=2.0,
-    seed=5,
-    chunk_pairs=2,
-)
-FLEET_CONFIG = RupsConfig(context_length_m=500.0, window_channels=20)
 
 
 def _metrics_task(item: int) -> int:
@@ -319,133 +300,6 @@ class TestSharedStaticsDeterminism:
         on = jsonl_for(True)
         off = jsonl_for(False)
         assert on and on == off
-
-
-class TestFleetJobsDeterminism:
-    """The fleet service inherits the runtime's whole contract.
-
-    With a fixed seed the replay's answered queries, the merged
-    *invariant* metrics view, the exported provenance events, the
-    structural trace tree, its OpenMetrics exposition, and a
-    flight-recorder dump must all be byte-identical under any
-    ``jobs``/``shared_statics`` setting; only the wall-clock latency
-    figures (kept in the service's local registry, not compared here)
-    may move.
-    """
-
-    @staticmethod
-    def _run(small_plan, **kwargs):
-        registry = MetricsRegistry()
-        ledger = EventLedger()
-        recorder = SpanRecorder(capacity=8192)
-        with use_registry(registry), use_ledger(ledger), use_recorder(
-            recorder
-        ):
-            result = fleet_replay(
-                plan=small_plan, config=FLEET_CONFIG, **SMALL_FLEET, **kwargs
-            )
-            with tempfile.TemporaryDirectory() as tmp:
-                flight_path = os.path.join(tmp, "flight.jsonl")
-                with FlightRecorder(
-                    flight_path, span_tail=8192, lock_drop_threshold=None
-                ) as flight:
-                    flight.dump("end_of_run")
-                with open(flight_path, "rb") as fh:
-                    flight_bytes = fh.read()
-        # Ring eviction would make the retained tail depend on how many
-        # placement spans each layout recorded — keep the ring larger
-        # than the replay so the comparison is over the full trace.
-        assert recorder.dropped == 0
-        buffer = io.StringIO()
-        ledger.write_jsonl(buffer)
-        return (
-            pickle.dumps(result.outcomes),
-            pickle.dumps(invariant_snapshot(registry.snapshot())),
-            buffer.getvalue(),
-            json.dumps(recorder.structural(), sort_keys=True),
-            render(invariant_snapshot(registry.snapshot())),
-            flight_bytes,
-        )
-
-    @pytest.mark.parametrize("jobs", [2, 4, None])
-    def test_parallel_replay_byte_identical_to_serial(self, small_plan, jobs):
-        serial = self._run(small_plan, jobs=1)
-        assert serial[0] and serial[2]  # queries answered, events exported
-        assert json.loads(serial[3])["spans"]  # trace tree populated
-        assert parse(serial[4])  # exposition is valid OpenMetrics
-        assert serial[5]  # flight dump written
-        parallel = self._run(small_plan, jobs=jobs)
-        assert parallel == serial
-
-    def test_exported_event_walks_back_to_chunk_span(self, small_plan):
-        """One seeded query: exported event → query span → chunk span.
-
-        The differential join the observability plane promises: an
-        exported event carries its query's deterministic span ID; that
-        span's links name the exact worker chunk (and tick phases) that
-        produced the estimate.
-        """
-        from repro.obs.tracing import query_span_id
-
-        registry = MetricsRegistry()
-        ledger = EventLedger()
-        recorder = SpanRecorder(capacity=8192)
-        with use_registry(registry), use_ledger(ledger), use_recorder(
-            recorder
-        ):
-            fleet_replay(
-                plan=small_plan, config=FLEET_CONFIG, **SMALL_FLEET, jobs=2
-            )
-        spans = {
-            s["span_id"]: s for s in recorder.structural()["spans"]
-        }
-        walked = 0
-        for event in ledger.to_dicts():
-            if event["query_id"] is None:
-                continue
-            # Every per-query event's exemplar is the deterministic
-            # query-span ID — computable from the query id alone.
-            assert event["span_id"] == query_span_id(event["query_id"])
-            query_span = spans.get(event["span_id"])
-            if query_span is None:
-                continue  # query submitted but not answered by replay end
-            assert query_span["name"] == "fleet.query"
-            assert query_span["attrs"]["query_id"] == event["query_id"]
-            linked = [spans[sid] for sid in query_span["links"]]
-            linked_names = {s["name"] for s in linked}
-            assert "fleet.plan" in linked_names
-            chunks = [s for s in linked if s["name"] == "fleet.search_chunk"]
-            if not chunks:
-                continue  # answered without a search (e.g. rejected)
-            for chunk in chunks:
-                assert chunk["attrs"]["pairs"] >= 1
-                assert chunk["trace_id"] == recorder.trace_id
-            walked += 1
-        # The join must actually fire for a healthy replay, not
-        # vacuously pass over an empty ledger.
-        assert walked > 0
-
-    def test_shared_statics_off_byte_identical(self, small_plan):
-        serial = self._run(small_plan, jobs=1)
-        payloads = self._run(small_plan, jobs=2, shared_statics=False)
-        assert payloads == serial
-
-    def test_chunk_layout_never_changes_answers(self, small_plan):
-        """Batch composition moves per-batch event order, never a result."""
-        kwargs = dict(SMALL_FLEET)
-        kwargs.pop("chunk_pairs")
-        base = fleet_replay(
-            plan=small_plan, config=FLEET_CONFIG, chunk_pairs=2, **kwargs
-        )
-        other = fleet_replay(
-            plan=small_plan,
-            config=FLEET_CONFIG,
-            chunk_pairs=8,
-            jobs=2,
-            **kwargs,
-        )
-        assert base.outcomes == other.outcomes
-        assert base.n_queries > 0
 
 
 class TestExperimentFanOut:

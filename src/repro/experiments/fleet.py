@@ -51,7 +51,8 @@ class FleetReplayResult:
     """Outcome of one fleet replay.
 
     ``outcomes`` is the deterministic record of the replay: one
-    ``(pair_index, time_s, truth_m, estimate)`` tuple per answered query, in arrival order, with ``estimate`` the service's
+    ``(pair_index, time_s, truth_m, estimate)`` tuple per answered
+    query, in arrival order, with ``estimate`` the service's
     :class:`~repro.fleet.FleetEstimate`.  The latency/throughput numbers
     in ``rows`` come from wall clock and are *not* part of that
     contract.

@@ -245,15 +245,10 @@ class TestCliObservability:
         with use_registry(MetricsRegistry()), use_ledger(
             EventLedger()
         ), use_recorder(SpanRecorder()):
-            assert (
-                main(
-                    ["t-fleet", "--vehicles", "4", "--duration", "90"]
-                    + ["--seed", "5", "--jobs", "2"]
-                    + ["--metrics-out", str(metrics), "--events-out", str(events)]
-                    + ["--trace-out", str(trace)]
-                )
-                == 0
-            )
+            args = ["t-fleet", "--vehicles", "4", "--duration", "90", "--seed", "5"]
+            args += ["--jobs", "2", "--metrics-out", str(metrics)]
+            args += ["--events-out", str(events), "--trace-out", str(trace)]
+            assert main(args) == 0
         out = capsys.readouterr().out
         assert "p99 latency (ms)" in out  # the replay's own latency table
         assert "fleet.search_wave" in out  # the stage latency table

@@ -4,8 +4,9 @@ Replays a bench-scale fleet (20 vehicles, Poisson queries) through the
 resident :class:`~repro.fleet.FleetStore` + batched
 :class:`~repro.fleet.FleetService` request path and records what a
 deployment would alert on: query latency percentiles (submit -> answer,
-from the service's local wall-clock registry) and answered queries per
-second of service time.  The trend gate guards all four headline
+from the service's local wall-clock registry; a query is submitted
+before its tick's ingests) and answered queries per second of ingest
+plus tick time.  The trend gate guards all four headline
 timings — a p95 regression (sessions losing locks and falling back to
 full searches, or the batching degenerating to per-query kernel calls)
 can hide behind a healthy mean.

@@ -7,7 +7,10 @@ distance queries flow through the batched
 what a deployment would watch: query latency percentiles and service
 throughput (from the service's local wall-clock registry) next to the
 accuracy and lock behaviour of the answers (deterministic, exported
-through ``repro.obs``).
+through ``repro.obs``).  A tick's queries are submitted before its
+ingests, so their latency covers the ingest they wait behind, and
+throughput divides by ingest plus tick wall time; the tick-only p50 and
+throughput are reported beside them.
 
 Determinism contract: with a fixed seed, ``outcomes`` — every answered
 query with its ground truth — the *invariant* metrics
@@ -19,6 +22,7 @@ seeded generator, so load composition is part of the seed.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +36,7 @@ from repro.gsm.routefield import build_route_field
 from repro.gsm.scanner import RadioGroup
 from repro.obs.events import emit, use_query_id
 from repro.obs.logconfig import get_logger
-from repro.obs.metrics import inc
+from repro.obs.metrics import MetricsRegistry, inc
 from repro.obs.tracing import trace
 from repro.roads.network import RoadNetworkConfig, generate_network
 from repro.roads.route import random_route
@@ -183,10 +187,17 @@ def fleet_replay(
     arrivals = factory.generator("queries")
     n_submitted = 0
     result_outcomes: list[tuple] = []
+    # Wall clock of the store's ingests, and a local histogram of each
+    # query's tick-only latency (tick start -> answer); like the
+    # service's own latency registry, never exported.
+    ingest_s = 0.0
+    tick_only = MetricsRegistry()
     with trace("fleet.replay"):
         for t in ticks:
             t = float(t)
-            # Ingest: every vehicle streams its newly heard marks.
+            # Every vehicle's newly heard marks, cut before the clock
+            # starts: only the store's ingest is timed.
+            ingests = []
             for p, (front_id, rear_id) in enumerate(vehicle_ids):
                 for vid, record in (
                     (front_id, records[2 * p]),
@@ -200,13 +211,14 @@ def fleet_replay(
                             side="right",
                         )
                     )
-                    store.ingest(
-                        vid, record.scan.slice(cuts[vid], bound), track
+                    ingests.append(
+                        (vid, record.scan.slice(cuts[vid], bound), track)
                     )
                     cuts[vid] = bound
             # Poisson arrivals since the last tick, drawn from the
             # experiment's generator: load composition is part of the
-            # seed.
+            # seed.  They are submitted before the tick's ingests, so a
+            # query's latency covers the ingest it waits behind.
             tick_meta = []
             for _ in range(
                 int(arrivals.poisson(query_rate_hz * update_period_s))
@@ -222,7 +234,15 @@ def fleet_replay(
                 )
                 tick_meta.append(p)
                 n_submitted += 1
+            ingest_start = time.perf_counter()
+            for vid, chunk, track in ingests:
+                store.ingest(vid, chunk, track)
+            tick_start = time.perf_counter()
+            ingest_s += tick_start - ingest_start
             answers = service.tick(at_time_s=t)
+            tick_s = time.perf_counter() - tick_start
+            for _ in answers:
+                tick_only.observe("fleet.query_latency_s", tick_s)
             for p, estimate in zip(tick_meta, answers):
                 lead, rear, _ = motions[p]
                 truth = float(lead.arc_length_at(t)) - float(
@@ -263,8 +283,10 @@ def fleet_replay(
     p95 = service.latency.quantile("fleet.query_latency_s", 0.95)
     p99 = service.latency.quantile("fleet.query_latency_s", 0.99)
     tick_hist = service.latency.snapshot()["histograms"].get("fleet.tick_s")
-    service_s = float(tick_hist["sum"]) if tick_hist else 0.0
-    qps = len(result_outcomes) / service_s if service_s > 0 else float("nan")
+    tick_s = float(tick_hist["sum"]) if tick_hist else 0.0
+    busy_s = ingest_s + tick_s
+    qps = len(result_outcomes) / busy_s if busy_s > 0 else float("nan")
+    tick_qps = len(result_outcomes) / tick_s if tick_s > 0 else float("nan")
     rows: list[list[object]] = [
         ["vehicles", n_vehicles, f"{n_pairs} leader/follower pairs"],
         [
@@ -291,13 +313,27 @@ def fleet_replay(
             float(np.mean(errors)) if errors else float("nan"),
             "resolved queries vs exact ground truth",
         ],
-        ["p50 latency (ms)", p50 * 1e3, "submit -> answer, local obs histogram"],
+        [
+            "p50 latency (ms)",
+            p50 * 1e3,
+            "submit -> answer, ingest included, local obs histogram",
+        ],
         ["p95 latency (ms)", p95 * 1e3, "local obs histogram"],
         ["p99 latency (ms)", p99 * 1e3, "local obs histogram"],
         [
             "queries/sec",
             qps,
-            "service throughput (answered / tick wall clock)",
+            "service throughput (answered / ingest + tick wall clock)",
+        ],
+        [
+            "tick-only p50 (ms)",
+            tick_only.quantile("fleet.query_latency_s", 0.50) * 1e3,
+            "tick start -> answer, not trend-gated",
+        ],
+        [
+            "tick-only queries/sec",
+            tick_qps,
+            "answered / tick wall clock, not trend-gated",
         ],
     ]
     _log.info(

@@ -20,12 +20,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.trajectory import GeoTrajectory, GsmTrajectory
+from repro.gsm.band import ChannelPlan
 from repro.gsm.scanner import ScanStream
 from repro.sensors.deadreckoning import EstimatedTrack
 
 __all__ = [
+    "ChunkRefused",
     "DriveBindingIndex",
     "bind_scan",
+    "check_extension",
     "interpolate_missing",
 ]
 
@@ -95,6 +98,112 @@ def bind_scan(
         geo=geo,
     )
     return interpolate_missing(trajectory) if interpolate else trajectory
+
+
+class ChunkRefused(ValueError):
+    """A scan chunk, or the track that came with it, that cannot extend
+    a growing stream; raised before any state changes.
+
+    ``cause`` names the failed check: ``plan_mismatch`` (another channel
+    plan), ``track_rewrite`` (the track does not extend the previous
+    one sample for sample), ``unsorted`` (times, or the bins their
+    estimated distances round to, go backwards), ``overlap`` (earlier
+    than a measurement already accepted) or ``beyond_track`` (measured
+    after the track's end).  Non-finite RSSI never gets this far:
+    :class:`~repro.gsm.scanner.ScanStream` refuses it.
+    """
+
+    def __init__(self, cause: str, message: str) -> None:
+        super().__init__(message)
+        self.cause = cause
+
+
+def _parity_bins(
+    dist: np.ndarray, mark0: int, spacing: float
+) -> dict[int, np.ndarray]:
+    """Each window-start parity's bin of every estimated distance,
+    counted in marks from global mark ``mark0``."""
+    bins = {}
+    for parity in (0, 1):
+        # Within one parity class round-half-even lands every halfway
+        # measurement in the same bin, so one anchor per parity stands
+        # in for every grid-aligned window start of that parity.
+        anchor = mark0 + ((mark0 % 2) != parity)
+        bins[parity] = np.round((dist - anchor * spacing) / spacing).astype(
+            np.int64
+        ) + (anchor - mark0)
+    return bins
+
+
+def check_extension(
+    chunk: ScanStream,
+    track: EstimatedTrack,
+    spacing_m: float,
+    plan: ChannelPlan | None = None,
+    prior_track: EstimatedTrack | None = None,
+    last_time_s: float = -np.inf,
+) -> None:
+    """Refuse ``chunk`` and ``track`` unless they can extend a stream.
+
+    The stream so far measured ``plan`` up to ``last_time_s`` along
+    ``prior_track`` (the defaults: nothing accepted yet).  Passing means
+    a fold of the stream's measurements, this chunk's appended, over
+    ``track`` keeps every bin's measurements in stream order, so it
+    answers as a cold build over the concatenation does.  The prefix
+    compare is O(``prior_track`` samples); the rest is O(chunk).
+
+    Raises :class:`ChunkRefused` naming the first failed check.
+    """
+    if (
+        plan is not None
+        and chunk.plan is not plan
+        and not np.array_equal(chunk.plan.arfcns, plan.arfcns)
+    ):
+        raise ChunkRefused(
+            "plan_mismatch", "chunk channel plan does not match the stream"
+        )
+    # Plain ufunc calls, not np.array_equal / np.diff: every ingest of a
+    # fleet runs these, and their Python wrappers cost more than the
+    # comparisons themselves.
+    if prior_track is not None:
+        m = len(prior_track.times_s)
+        if len(track.times_s) < m or not (
+            (track.times_s[:m] == prior_track.times_s).all()
+            and (track.distance_m[:m] == prior_track.distance_m).all()
+            and (track.heading_rad[:m] == prior_track.heading_rad).all()
+        ):
+            raise ChunkRefused(
+                "track_rewrite", "track must extend the previously provided track"
+            )
+    if not len(chunk):
+        return
+    times = chunk.times_s
+    if (times[1:] < times[:-1]).any():
+        raise ChunkRefused("unsorted", "chunk times are not sorted")
+    if float(times[0]) < last_time_s:
+        raise ChunkRefused(
+            "overlap", "chunk overlaps previously appended measurements"
+        )
+    if float(times[-1]) > float(track.times_s[-1]):
+        raise ChunkRefused(
+            "beyond_track",
+            "chunk reaches beyond the provided track; measured beyond the "
+            "track's end, its binned distances would change once it grows",
+        )
+    if last_time_s > -np.inf:
+        times = np.concatenate(([last_time_s], times))
+    dist = track.distance_at(times)
+    # Rounding keeps order, so bins can only go backwards where the
+    # estimated distance itself dips (by interpolation rounding, or
+    # within the track's 1e-9 m tolerance).
+    if (dist[1:] < dist[:-1]).any():
+        mark0 = int(np.ceil(float(track.distance_m[0]) / spacing_m))
+        for raw in _parity_bins(dist, mark0, spacing_m).values():
+            if np.any(np.diff(raw) < 0):
+                raise ChunkRefused(
+                    "unsorted",
+                    "chunk's estimated distances run backwards across a mark",
+                )
 
 
 def _grown_1d(buf: np.ndarray, used: int, extra: int) -> np.ndarray:
@@ -276,16 +385,13 @@ class DriveBindingIndex:
         empty = scan.slice(0, 0)
         self._states = {parity: _ParityState(empty) for parity in (0, 1)}
         self._last_time = -np.inf
-        # Any stream can be built; only one in time order within the
-        # track can be grown, because its binned distances are final.
-        self._refusal: str | None = None
-        if len(scan) and float(scan.times_s[-1]) > float(track.times_s[-1]):
-            self._refusal = (
-                "cannot extend: scan reaches beyond the track; its binned "
-                "distances would change once the track grows"
-            )
-        elif np.any(np.diff(scan.times_s) < 0):
-            self._refusal = "cannot extend: scan times are not sorted"
+        # Any stream can be built; only one that could have arrived
+        # chunk by chunk can be grown.
+        self._refusal: tuple[str, str] | None = None
+        try:
+            check_extension(scan, track, self.spacing_m)
+        except ChunkRefused as refusal:
+            self._refusal = (refusal.cause, f"cannot extend: {refusal}")
         self._fold(scan, track)
 
     def bind(
@@ -370,9 +476,12 @@ class DriveBindingIndex:
         After the call, :meth:`bind` answers exactly as a fresh index
         built over the *concatenated* stream and the new track would —
         the prefix-equivalence suite in ``tests/test_streaming_prefix.py``
-        holds this bitwise.  Cost is O(appended measurements + changed
-        marks), not O(drive).  Everything is checked before anything
-        changes: a refused chunk leaves the index as it was.
+        holds this bitwise.  :func:`check_extension` checks everything
+        before anything changes, so a refused chunk
+        (:class:`ChunkRefused`) leaves the index as it was.  The fold
+        costs O(appended measurements + changed marks); the check's
+        track compare costs O(track samples), since it compares the
+        whole overlapping prefix.
 
         Only ever call this on a *privately constructed* index.  Indices
         obtained via :meth:`for_drive` may be shared process-wide
@@ -389,41 +498,23 @@ class DriveBindingIndex:
             previously provided track sample-for-sample.
         """
         if self._refusal is not None:
-            raise ValueError(self._refusal)
-        plan = self._plan
-        if chunk.plan is not plan and not np.array_equal(
-            chunk.plan.arfcns, plan.arfcns
-        ):
-            raise ValueError("chunk channel plan does not match the index")
-        old_track = self.track
-        m = len(old_track.times_s)
-        if len(track.times_s) < m or not (
-            np.array_equal(track.times_s[:m], old_track.times_s)
-            and np.array_equal(track.distance_m[:m], old_track.distance_m)
-            and np.array_equal(track.heading_rad[:m], old_track.heading_rad)
-        ):
-            raise ValueError("track must extend the previously provided track")
-        if len(chunk):
-            if np.any(np.diff(chunk.times_s) < 0):
-                raise ValueError("chunk times are not sorted")
-            if float(chunk.times_s[0]) < self._last_time:
-                raise ValueError(
-                    "chunk overlaps previously appended measurements"
-                )
-            if float(chunk.times_s[-1]) > float(track.times_s[-1]):
-                raise ValueError("chunk reaches beyond the provided track")
+            raise ChunkRefused(*self._refusal)
+        check_extension(
+            chunk, track, self.spacing_m, self._plan, self.track, self._last_time
+        )
         self._fold(chunk, track)
 
     def _fold(self, chunk: ScanStream, track: EstimatedTrack) -> None:
         """Bin ``chunk`` into both parity states and grow the grid to
-        ``track`` — the index's one binning path.
+        ``track`` — the index's one binning path.  It checks nothing and
+        never raises: callers pass what :func:`check_extension` accepted.
 
-        Estimated distance never decreases along an extendable stream,
-        so a new measurement only lands in mark columns at or after the
-        last one touched, and only that suffix region is re-aggregated,
-        with a regional ``bincount`` that replays its measurements in
-        stream order: float accumulation order, hence bits, stay those
-        of a cold build.
+        Bins never go backwards along an extendable stream, so a new
+        measurement only lands in mark columns at or after the last one
+        touched, and only that suffix region is re-aggregated, with a
+        regional ``bincount`` that replays its measurements in stream
+        order: float accumulation order, hence bits, stay those of a
+        cold build.
         """
         spacing = self.spacing_m
         n_old = self._n_marks
@@ -447,25 +538,17 @@ class DriveBindingIndex:
             self._hbuf[n_old:new_n] = h_new
 
         dist = np.asarray(track.distance_at(chunk.times_s), dtype=float)
+        bins = _parity_bins(dist, self._mark0, spacing)
         for parity, st in self._states.items():
-            # Within one parity class round-half-even lands every halfway
-            # measurement in the same bin, so one anchor per parity
-            # stands in for every grid-aligned window start of that
-            # parity.
-            anchor = self._mark0 + ((self._mark0 % 2) != parity)
-            raw = np.round((dist - anchor * spacing) / spacing).astype(
-                np.int64
-            ) + (anchor - self._mark0)
+            raw = bins[parity]
             times, chans, rssi = (
                 chunk.times_s, chunk.channel_indices, chunk.rssi_dbm
             )
             if np.any(np.diff(raw) < 0):
-                # A stream out of distance order is stably sorted by bin,
-                # which keeps each bin's measurements — and so its float
-                # sums — in stream order; it cannot be grown.
-                self._refusal = self._refusal or (
-                    "cannot extend: estimated distance is not non-decreasing"
-                )
+                # A stream out of distance order (only a cold build
+                # takes one) is stably sorted by bin, which keeps each
+                # bin's measurements — and so its float sums — in
+                # stream order.
                 order = np.argsort(raw, kind="stable")
                 raw, times = raw[order], times[order]
                 chans, rssi = chans[order], rssi[order]

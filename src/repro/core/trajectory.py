@@ -240,26 +240,42 @@ class GsmTrajectory:
         return np.intersect1d(self.channel_ids, other.channel_ids)
 
 
+#: Chunks a builder holds unfolded: the append that queues this many
+#: folds them, so no serve folds more than this many at once.  A fold's
+#: cost is mostly fixed per call, so a longer queue folds cheaper per
+#: chunk but makes the serve that folds it slower.
+MAX_QUEUED_CHUNKS = 32
+
+
 class TrajectoryBuilder:
     """Incrementally maintained GSM-aware trajectory for one vehicle.
 
     The streaming counterpart of :func:`~repro.core.binding.bind_scan`:
     instead of re-binning the whole drive on every tracking period, the
-    builder folds each new scan chunk into a private, appendable
-    :class:`~repro.core.binding.DriveBindingIndex`
-    (:meth:`~repro.core.binding.DriveBindingIndex.extend`) and serves
-    its bounded context window with
+    builder keeps a private, appendable
+    :class:`~repro.core.binding.DriveBindingIndex` and serves its
+    bounded context window with
     :meth:`~repro.core.binding.DriveBindingIndex.bind`, whose resident
     gap fill re-fills only the columns folded since the last serve plus
-    the window's edges.  Served trajectories are **bit-identical** to a
-    cold :func:`~repro.core.binding.bind_scan` over the concatenated
-    stream — the contract the prefix-equivalence suite in
-    ``tests/test_streaming_prefix.py`` enforces — and own their arrays,
-    so later appends never change one.
+    the window's edges.
 
-    :meth:`append` validates before it commits: a rejected chunk leaves
-    the builder — binding state, measurement count, served trajectory —
-    exactly as it was.
+    :meth:`append` validates a chunk and queues it; :meth:`trajectory`
+    folds everything queued in one pass over the concatenated chunks
+    and the last accepted track, then serves.  A fold's cost is mostly
+    fixed per call, and a fleet appends every vehicle every period but
+    serves only the few it is asked about.  The queue holds at most
+    :data:`MAX_QUEUED_CHUNKS` chunks: the append that fills it folds
+    it.  Served trajectories are **bit-identical** to a cold
+    :func:`~repro.core.binding.bind_scan` over the concatenated stream,
+    however the chunks were queued — the contract the prefix-equivalence
+    suite in ``tests/test_streaming_prefix.py`` enforces — and own their
+    arrays, so later appends never change one.
+
+    :meth:`append` validates before it commits, against the last
+    accepted chunk and track, queued or folded: a refused chunk
+    (:class:`~repro.core.binding.ChunkRefused`, naming its cause) leaves
+    the builder — queue, measurement count, served trajectory — exactly
+    as it was.  The fold repeats no check and never raises.
 
     Parameters
     ----------
@@ -284,16 +300,21 @@ class TrajectoryBuilder:
             )
         self._spacing_m = float(spacing_m)
         self._context_length_m = float(context_length_m)
-        self._index = None  # DriveBindingIndex, created on first append
+        self._index = None  # DriveBindingIndex, created by the first fold
+        self._queue: list = []  # accepted chunks not folded yet
+        # The last accepted plan, track and measurement time.
+        self._plan = None
+        self._track = None
+        self._last_time_s = -np.inf
         self._n_measurements = 0
 
     @property
     def n_measurements(self) -> int:
-        """Total measurements ingested so far."""
+        """Total measurements accepted so far, queued or folded."""
         return self._n_measurements
 
     def append(self, chunk, track) -> None:
-        """Fold a new scan chunk into the builder.
+        """Validate a new scan chunk and queue it for the next serve.
 
         Parameters
         ----------
@@ -306,38 +327,62 @@ class TrajectoryBuilder:
             must pass a track that extends the previous one (passing the
             same full-drive track every time satisfies this trivially).
 
-        Raises ``ValueError`` — with the builder unchanged — for a chunk
-        that is unsorted, overlaps earlier measurements, reaches beyond
+        Raises :class:`~repro.core.binding.ChunkRefused` (a
+        ``ValueError``) — with the builder unchanged — for a chunk that
+        is unsorted, overlaps earlier measurements, reaches beyond
         ``track``, or uses another channel plan, and for a track that
-        does not extend the previous one.  (A non-finite RSSI never gets
-        this far: :class:`~repro.gsm.scanner.ScanStream` refuses it.)
+        does not extend the previous one.
         """
-        if self._index is None:
-            from repro.core.binding import DriveBindingIndex
+        from repro.core.binding import check_extension
 
-            # Private (never shared via for_drive): extend() mutates it.
-            # The index builds any stream; the empty extend refuses one
-            # it could not grow before the index is kept.
-            index = DriveBindingIndex(chunk, track, spacing_m=self._spacing_m)
-            index.extend(chunk.slice(len(chunk), len(chunk)), track)
-            self._index = index
-        else:
-            # extend() checks everything before it mutates anything.
-            self._index.extend(chunk, track)
+        check_extension(
+            chunk,
+            track,
+            self._spacing_m,
+            self._plan,
+            self._track,
+            self._last_time_s,
+        )
+        if self._plan is None:
+            self._plan = chunk.plan
+        self._track = track
+        if len(chunk):
+            self._last_time_s = float(chunk.times_s[-1])
+        self._queue.append(chunk)
         self._n_measurements += len(chunk)
+        if len(self._queue) == MAX_QUEUED_CHUNKS:
+            self._fold()
 
     def trajectory(self, at_time_s: float | None = None) -> GsmTrajectory:
         """The bounded GSM-aware trajectory as known at ``at_time_s``.
 
-        Raises ``ValueError`` while the drive is still too short for a
-        trajectory, exactly as :func:`~repro.core.binding.bind_scan`
-        would.
+        Folds whatever is queued first.  Raises ``ValueError`` while the
+        drive is still too short for a trajectory, exactly as
+        :func:`~repro.core.binding.bind_scan` would.
         """
-        if self._index is None:
+        if self._track is None:
             raise ValueError(
                 "not enough travelled distance for a trajectory "
                 "(no measurements appended yet)"
             )
+        if self._queue:
+            self._fold()
         return self._index.bind(
             at_time_s=at_time_s, context_length_m=self._context_length_m
         )
+
+    def _fold(self) -> None:
+        """Fold every queued chunk, in one pass, with the last accepted
+        track; :meth:`append` checked them all."""
+        from repro.core.binding import DriveBindingIndex
+        from repro.gsm.scanner import concat_streams
+
+        queued, self._queue = self._queue, []
+        stream = queued[0] if len(queued) == 1 else concat_streams(queued)
+        if self._index is None:
+            # Private (never shared via for_drive): every fold grows it.
+            # Built empty, its constructor has no stream to check.
+            self._index = DriveBindingIndex(
+                stream.slice(0, 0), self._track, spacing_m=self._spacing_m
+            )
+        self._index._fold(stream, self._track)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.binding import ChunkRefused
 from repro.core.config import RupsConfig
 from repro.core.tracking import RupsTracker
 from repro.core.trajectory import GsmTrajectory, TrajectoryBuilder
@@ -33,8 +34,11 @@ class VehicleSlot:
     vehicle_id:
         The vehicle's stable identifier.
     builder:
-        Resident incremental trajectory builder; every ingested chunk is
-        folded in, so serving a bounded context is O(window).
+        Resident incremental trajectory builder: it validates and
+        queues every ingested chunk, and folds the queue into its
+        binding index when the vehicle is next served (or when the
+        queue is full), so a vehicle that is never queried pays no fold
+        per ingest.
     n_chunks, n_measurements:
         Lifetime ingest totals.
     """
@@ -67,14 +71,17 @@ class FleetStore:
     def ingest(
         self, vehicle_id: str, chunk: ScanStream, track: EstimatedTrack
     ) -> VehicleSlot:
-        """Fold one newly arrived scan chunk into a vehicle's builder.
+        """Validate one newly arrived scan chunk and queue it in a
+        vehicle's builder, to be folded when the vehicle is next served.
 
         ``chunk`` carries all measurements since the previous ingest and
         ``track`` the dead-reckoned track as known now (it must extend
         the previous one) — the same contract as
         :meth:`RupsTracker.stream_update`.  Unknown vehicles are
         admitted on their first *accepted* ingest: a chunk the builder
-        rejects (``ValueError``) changes nothing, admission included.
+        refuses (:class:`~repro.core.binding.ChunkRefused`, a
+        ``ValueError``) changes nothing, admission included, and counts
+        under ``fleet.store.ingests.rejected.<cause>``.
         """
         slot = self._slots.get(vehicle_id)
         admit = slot is None
@@ -86,7 +93,11 @@ class FleetStore:
                     context_length_m=self.config.context_length_m,
                 ),
             )
-        slot.builder.append(chunk, track)
+        try:
+            slot.builder.append(chunk, track)
+        except ChunkRefused as refusal:
+            inc(f"fleet.store.ingests.rejected.{refusal.cause}")
+            raise
         if admit:
             self._slots[vehicle_id] = slot
             inc("fleet.store.vehicles_admitted")
@@ -152,7 +163,8 @@ class FleetStore:
     def drop_vehicle(self, vehicle_id: str) -> None:
         """Forget a vehicle: its slot and every session involving it.
 
-        A no-op for unknown vehicles.
+        The chunks its builder still queues go unfolded.  A no-op for
+        unknown vehicles.
         """
         if self._slots.pop(vehicle_id, None) is not None:
             inc("fleet.store.vehicles_dropped")

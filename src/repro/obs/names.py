@@ -100,12 +100,13 @@ COUNTERS: frozenset[str] = frozenset(
 )
 
 #: Computed counter families: the emit site interpolates the tail
-#: (cache name, experiment id, rejection cause, tracker/exchange mode,
-#: receive outcome).
+#: (cache name, experiment id, query or chunk rejection cause,
+#: tracker/exchange mode, receive outcome).
 COUNTER_PREFIXES: tuple[str, ...] = (
     "engine.cache.",
     "experiments.runs.",
     "fleet.queries.rejected.",
+    "fleet.store.ingests.rejected.",
     "tracker.updates.",
     "v2v.exchange.",
     "v2v.receive.",

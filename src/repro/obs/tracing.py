@@ -318,21 +318,20 @@ def use_recorder(recorder: SpanRecorder) -> Iterator[SpanRecorder]:
 @contextmanager
 def trace(
     name: str,
-    span_id: str | None = None,
     links: tuple[str, ...] = (),
     attrs: tuple[tuple[str, Any], ...] = (),
 ) -> Iterator[str]:
     """Time a stage: ring-buffer span + ``span.<name>`` histogram entry.
 
-    Yields the span's ID (derived from the recorder context unless an
-    explicit ``span_id`` is given), so later spans can link to it.
+    Yields the span's ID, derived from the recorder context, so later
+    spans can link to it.
     """
     recorder = _STACK[-1]
     parent_name, parent_id = (
         recorder._stack[-1] if recorder._stack else (None, None)
     )
     depth = len(recorder._stack)
-    sid = recorder._derive_id(name) if span_id is None else str(span_id)
+    sid = recorder._derive_id(name)
     recorder._stack.append((name, sid))
     cpu0 = time.process_time()
     wall0 = time.perf_counter()

@@ -8,6 +8,9 @@ must treat them as read-only.
 
 from __future__ import annotations
 
+import functools
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
@@ -110,3 +113,44 @@ def edge_drive(small_plan):
         plan=plan,
     )
     return scan, track
+
+
+@dataclass
+class CallCount:
+    """What a :func:`count_calls` wrapper saw: one size per call."""
+
+    sizes: list = field(default_factory=list)
+
+    @property
+    def calls(self) -> int:
+        return len(self.sizes)
+
+    def reset(self) -> None:
+        self.sizes.clear()
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """Count the calls of a function, and the size of each call's
+    arguments, for the rest of the test.
+
+    ``count_calls(owner, name, size=...)`` replaces ``owner.name`` (a
+    class's method, a module's function) with a wrapper that records
+    ``size(*args, **kwargs)`` and then calls the original; it returns
+    the :class:`CallCount`.  Counting work rather than timing it keeps a
+    complexity claim host-independent.
+    """
+
+    def wrap(owner, name, size=lambda *args, **kwargs: 0) -> CallCount:
+        record = CallCount()
+        original = getattr(owner, name)
+
+        @functools.wraps(original)
+        def counted(*args, **kwargs):
+            record.sizes.append(size(*args, **kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return record
+
+    return wrap

@@ -94,6 +94,41 @@ class TestFleetStore:
         assert registry.counter("fleet.store.vehicles_admitted") == 1
         assert registry.gauge("fleet.store.vehicles") == 1.0
 
+    def test_refused_ingest_counts_its_cause(self, shared_pair):
+        store = FleetStore(CFG)
+        rear = shared_pair.rear
+        cuts: dict = {}
+        t0 = float(rear.estimated.times_s[0])
+        _feed(store, "v1", rear, t0 + 20.0, cuts)
+        track = rear.estimated.until(t0 + 30.0)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            with pytest.raises(ValueError, match="overlaps"):
+                store.ingest(
+                    "v1", rear.scan.slice(cuts["v1"] - 20, cuts["v1"] + 20), track
+                )
+            with pytest.raises(ValueError, match="beyond the track"):
+                store.ingest("v2", rear.scan.slice(0, len(rear.scan)), track)
+        assert registry.counter("fleet.store.ingests.rejected.overlap") == 1
+        assert registry.counter("fleet.store.ingests.rejected.beyond_track") == 1
+        assert registry.counter("fleet.store.ingests") == 0
+        assert store.slot("v1").n_chunks == 1
+        assert not store.has("v2")
+
+    def test_drop_vehicle_discards_its_queue_unfolded(self, shared_pair, count_calls):
+        store = FleetStore(CFG)
+        rear = shared_pair.rear
+        cuts: dict = {}
+        t0 = float(rear.estimated.times_s[0])
+        for k in range(1, 4):
+            _feed(store, "v1", rear, t0 + 10.0 * k, cuts)
+        assert len(store.slot("v1").builder._queue) == 3  # never served
+        folds = count_calls(TrajectoryBuilder, "_fold")
+        store.drop_vehicle("v1")
+        assert folds.calls == 0
+        assert not store.has("v1")
+        assert store.n_vehicles == 0
+
     def test_vehicles_sorted_across_shards(self, shared_pair):
         store = FleetStore(CFG)
         rear = shared_pair.rear

@@ -16,6 +16,7 @@ from repro.obs import (
     get_logger,
     get_recorder,
     get_registry,
+    record_complete,
     trace,
     use_recorder,
     use_registry,
@@ -444,18 +445,21 @@ class TestTracingIds:
         assert ids_a[0] != ids_a[1]
 
     def test_explicit_span_id_and_links_and_attrs(self):
+        # Only record_complete takes an explicit ID: the fleet stamps
+        # each query span with its query's ID.
         rec = SpanRecorder()
         with use_recorder(rec), use_registry(MetricsRegistry()):
-            with trace(
-                "chunk", span_id="feedbeef00000000", attrs=(("pairs", 3),)
-            ) as sid:
-                assert sid == "feedbeef00000000"
-            with trace("query", links=(sid,)):
+            with trace("chunk", attrs=(("pairs", 3),)) as chunk_sid:
                 pass
+            sid = record_complete(
+                "query", wall_s=0.0, span_id="feedbeef00000000", links=(chunk_sid,)
+            )
+        assert sid == "feedbeef00000000"
         chunk, query = rec.spans
-        assert chunk.span_id == "feedbeef00000000"
+        assert chunk.span_id == chunk_sid
         assert chunk.attrs == (("pairs", 3),)
-        assert query.links == ("feedbeef00000000",)
+        assert query.span_id == "feedbeef00000000"
+        assert query.links == (chunk_sid,)
 
     def test_trace_yields_derived_id_and_children_see_it(self):
         rec = SpanRecorder()

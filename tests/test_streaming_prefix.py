@@ -22,17 +22,27 @@ of ``tests/test_core_binding_cache.py``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core import RupsConfig
-from repro.core.binding import DriveBindingIndex, bind_scan, interpolate_missing
+from repro.core.binding import (
+    ChunkRefused,
+    DriveBindingIndex,
+    bind_scan,
+    interpolate_missing,
+)
 from repro.core.tracking import RupsTracker
-from repro.core.trajectory import GeoTrajectory, TrajectoryBuilder
+from repro.core.trajectory import (
+    MAX_QUEUED_CHUNKS,
+    GeoTrajectory,
+    TrajectoryBuilder,
+)
 from repro.gsm.band import ChannelPlan
-from repro.gsm.scanner import concat_streams
+from repro.gsm.scanner import ScanStream, concat_streams
 from repro.sensors.deadreckoning import EstimatedTrack
 
 
@@ -371,6 +381,213 @@ class TestBuilderAppendIsAtomic:
         clean.append(first, trk1)
         clean.append(nxt, trk2)
         self._assert_state(builder, self._state(clean))
+
+
+def _count_folds(count_calls):
+    """Count the folds of every builder's queue, and the measurements
+    each one folds."""
+    return count_calls(
+        TrajectoryBuilder,
+        "_fold",
+        size=lambda builder: sum(len(chunk) for chunk in builder._queue),
+    )
+
+
+@pytest.fixture(scope="module")
+def long_drive(small_plan):
+    """A synthetic 1,250 s drive with stops and ragged measurement times
+    on six channels (read-only).  Returns ``(scan, track)``."""
+    rng = np.random.default_rng(1250)
+    dt = 0.1
+    t = np.arange(0.0, 1250.0 + dt / 2, dt)
+    # 8 m/s on average, standing still about 3 % of the time.
+    speed = np.clip(8.0 + 9.0 * np.sin(t / 23.0) * np.sin(t / 61.0), 0.0, None)
+    distance = np.concatenate(([0.0], np.cumsum(speed[:-1] * dt)))
+    track = EstimatedTrack(
+        times_s=t, distance_m=distance, heading_rad=0.4 * np.sin(t / 90.0)
+    )
+    times = np.sort(rng.uniform(0.0, 1250.0, 15_000))
+    scan = ScanStream(
+        times_s=times,
+        channel_indices=rng.integers(0, 6, times.size),
+        radio_ids=np.zeros(times.size, dtype=np.int64),
+        s_true_m=np.interp(times, t, distance),
+        rssi_dbm=rng.uniform(-100.0, -50.0, times.size),
+        plan=small_plan.subset(np.arange(6), name="long-6"),
+    )
+    return scan, track
+
+
+def _dipping_drive(plan):
+    """A 4 s track whose estimated distance dips by 4e-10 m (inside the
+    track's tolerance) across a half mark between 1 s and 2 s, and one
+    measurement at each of 0.5, 1, 2 and 3 s."""
+    track = EstimatedTrack(
+        times_s=np.arange(5.0),
+        distance_m=np.array([0.0, 5.5 + 2e-10, 5.5 - 2e-10, 12.0, 20.0]),
+        heading_rad=np.zeros(5),
+    )
+    times = np.array([0.5, 1.0, 2.0, 3.0])
+    scan = ScanStream(
+        times_s=times,
+        channel_indices=np.zeros(4, dtype=np.int64),
+        radio_ids=np.zeros(4, dtype=np.int64),
+        s_true_m=np.zeros(4),
+        rssi_dbm=np.full(4, -80.0),
+        plan=plan,
+    )
+    return scan, track
+
+
+class TestBuilderQueue:
+    """``append`` validates and queues; a serve folds the whole queue in
+    one pass, and only a full queue folds at an append."""
+
+    def test_appends_fold_only_a_full_queue_and_a_serve_folds_once(
+        self, shared_pair, count_calls
+    ):
+        rec = shared_pair.rear
+        scan, track = rec.scan, rec.estimated
+        folds = _count_folds(count_calls)
+        builder = TrajectoryBuilder(context_length_m=150.0)
+        k = 2 * MAX_QUEUED_CHUNKS + 5
+        prev_b = 0
+        for i in range(k):
+            trk = _truncate(track, 40.0 + 0.5 * i)
+            b = _chunk_bounds(scan, trk)
+            builder.append(scan.slice(prev_b, b), trk)
+            prev_b = b
+        assert folds.calls <= math.ceil(k / MAX_QUEUED_CHUNKS)
+        assert builder.n_measurements == prev_b
+        folded = sum(folds.sizes)
+        assert folded < prev_b, "fixture regression: nothing left queued"
+        folds.reset()
+        got = builder.trajectory()
+        assert folds.sizes == [prev_b - folded]
+        folds.reset()
+        again = builder.trajectory()
+        assert folds.calls == 0
+        want = bind_scan(scan.slice(0, prev_b), trk, context_length_m=150.0)
+        _assert_trajectories_identical(got, want)
+        _assert_trajectories_identical(again, want)
+
+    def test_refusals_leave_a_queued_chunk_as_it_was(
+        self, shared_pair, count_calls
+    ):
+        rec = shared_pair.rear
+        scan, track = rec.scan, rec.estimated
+        trk1, trk2, trk3 = (_truncate(track, t) for t in (60.0, 90.0, 100.0))
+        b1, b2, b3 = (_chunk_bounds(scan, trk) for trk in (trk1, trk2, trk3))
+        builder = TrajectoryBuilder(context_length_m=150.0)
+        builder.append(scan.slice(0, b1), trk1)
+        builder.trajectory()  # folds the first chunk
+        queued = scan.slice(b1, b2)
+        builder.append(queued, trk2)
+        # Only samples the queued track added move: checked against the
+        # folded track alone, this track would pass.
+        m1, m2 = len(trk1.times_s), len(trk2.times_s)
+        heading = trk3.heading_rad.copy()
+        heading[m1 + 1 : m2 - 1] += 0.1
+        rewritten = EstimatedTrack(trk3.times_s, trk3.distance_m, heading)
+        assert scan.times_s[b2 - 20] < scan.times_s[b2 - 1]
+        folds = _count_folds(count_calls)
+        for chunk, trk, cause in (
+            (scan.slice(b2 - 20, b3), trk3, "overlap"),
+            (scan.slice(b2, b3), rewritten, "track_rewrite"),
+        ):
+            with pytest.raises(ChunkRefused) as refused:
+                builder.append(chunk, trk)
+            assert refused.value.cause == cause
+            assert len(builder._queue) == 1 and builder._queue[0] is queued
+            assert builder.n_measurements == b2
+            assert folds.calls == 0
+        want = bind_scan(scan.slice(0, b2), trk2, context_length_m=150.0)
+        _assert_trajectories_identical(builder.trajectory(), want)
+
+    def test_each_refusal_names_its_cause(self, shared_pair):
+        rec = shared_pair.rear
+        scan, track = rec.scan, rec.estimated
+        trk1, trk2 = _truncate(track, 60.0), _truncate(track, 90.0)
+        b1, b2 = _chunk_bounds(scan, trk1), _chunk_bounds(scan, trk2)
+        nxt = scan.slice(b1, b2)
+        plan = scan.plan
+        relabelled = ChannelPlan(
+            name="relabelled",
+            arfcns=plan.arfcns + 10_000,
+            frequencies_hz=plan.frequencies_hz,
+        )
+        rewritten = EstimatedTrack(
+            trk2.times_s, trk2.distance_m + 1.0, trk2.heading_rad
+        )
+        builder = TrajectoryBuilder(context_length_m=150.0)
+        builder.append(scan.slice(0, b1), trk1)  # queued, not folded
+        for chunk, trk, cause in (
+            (_reversed(nxt), trk2, "unsorted"),
+            (scan.slice(b1 - 20, b2), trk2, "overlap"),
+            (scan.slice(b1, b2 + 50), trk2, "beyond_track"),
+            (replace(nxt, plan=relabelled), trk2, "plan_mismatch"),
+            (nxt, rewritten, "track_rewrite"),
+        ):
+            with pytest.raises(ChunkRefused) as refused:
+                builder.append(chunk, trk)
+            assert refused.value.cause == cause
+            assert isinstance(refused.value, ValueError)
+        assert builder.n_measurements == b1
+
+    def test_bins_running_backwards_are_refused_at_the_append(self, small_plan):
+        scan, track = _dipping_drive(small_plan)
+        with pytest.raises(ChunkRefused) as refused:
+            TrajectoryBuilder(context_length_m=2.0).append(scan, track)
+        assert refused.value.cause == "unsorted"
+        # Across a chunk boundary: the chunk that steps back is refused.
+        builder = TrajectoryBuilder(context_length_m=2.0)
+        builder.append(scan.slice(0, 2), track)
+        with pytest.raises(ChunkRefused) as refused:
+            builder.append(scan.slice(2, 4), track)
+        assert refused.value.cause == "unsorted"
+        assert builder.n_measurements == 2
+        # A cold index still builds the stream; it only refuses to grow.
+        index = DriveBindingIndex(scan, track)
+        _assert_trajectories_identical(
+            index.bind(), bind_scan(scan, track)
+        )
+        with pytest.raises(ChunkRefused, match="cannot extend") as refused:
+            index.extend(scan.slice(4, 4), track)
+        assert refused.value.cause == "unsorted"
+
+    def test_long_drive_serves_at_ragged_points(self, long_drive, count_calls):
+        scan, track = long_drive
+        rng = np.random.default_rng(7)
+        folds = _count_folds(count_calls)
+        builder = TrajectoryBuilder(context_length_m=150.0)
+        prev_b = queued = longest = served = 0
+        t_end = 0.0
+        next_serve = 30.0
+        while t_end < 1250.0:
+            t_end = min(t_end + 0.5, 1250.0)
+            trk = _truncate(track, t_end)
+            b = _chunk_bounds(scan, trk)
+            builder.append(scan.slice(prev_b, b), trk)
+            prev_b = b
+            queued += 1
+            if t_end < next_serve and t_end < 1250.0:
+                continue
+            next_serve = t_end + float(rng.choice([0.5, 3.0, 11.0, 17.5, 40.0]))
+            longest = max(longest, queued)
+            queued = 0
+            at_time_s = None if rng.random() < 0.5 else t_end - float(rng.random())
+            want = bind_scan(
+                scan.slice(0, b), trk, at_time_s=at_time_s, context_length_m=150.0
+            )
+            _assert_trajectories_identical(
+                builder.trajectory(at_time_s=at_time_s), want
+            )
+            served += 1
+        assert served >= 50
+        assert longest > MAX_QUEUED_CHUNKS
+        # 2,500 appends, yet far fewer folds: one per serve at most,
+        # plus one per full queue.
+        assert folds.calls <= served + 2500 // MAX_QUEUED_CHUNKS
 
 
 class RebindingBuilder:

@@ -207,22 +207,23 @@ def check_extension(
 
 
 def _grown_1d(buf: np.ndarray, used: int, extra: int) -> np.ndarray:
-    """``buf`` with room for ``used + extra`` entries (amortised doubling)."""
+    """``buf`` with room for ``used + extra`` entries; grown to twice
+    that, so the fold after a long one (a vehicle's history, folded in
+    one go) copies nothing."""
     need = used + extra
     if need <= buf.shape[0]:
         return buf
-    out = np.empty(max(need, 2 * buf.shape[0], 16), dtype=buf.dtype)
+    out = np.empty(max(2 * need, 16), dtype=buf.dtype)
     out[:used] = buf[:used]
     return out
 
 
 def _grown_cols(buf: np.ndarray, used: int, need: int) -> np.ndarray:
-    """``buf`` with room for ``need`` columns (amortised doubling)."""
+    """``buf`` with room for ``need`` columns; grown to twice that, as
+    :func:`_grown_1d`."""
     if need <= buf.shape[1]:
         return buf
-    out = np.empty(
-        (buf.shape[0], max(need, 2 * buf.shape[1], 16)), dtype=buf.dtype
-    )
+    out = np.empty((buf.shape[0], max(2 * need, 16)), dtype=buf.dtype)
     out[:, :used] = buf[:, :used]
     return out
 

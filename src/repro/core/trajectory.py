@@ -240,11 +240,13 @@ class GsmTrajectory:
         return np.intersect1d(self.channel_ids, other.channel_ids)
 
 
-#: Chunks a builder holds unfolded: the append that queues this many
-#: folds them, so no serve folds more than this many at once.  A fold's
-#: cost is mostly fixed per call, so a longer queue folds cheaper per
-#: chunk but makes the serve that folds it slower.
-MAX_QUEUED_CHUNKS = 32
+#: Measurements a builder holds unfolded: the append that brings its
+#: queue to this many folds it, so a serve folds at most this many.  A
+#: fold's cost is mostly fixed per call, so a longer queue folds
+#: cheaper per measurement but makes the serve that folds it slower; a
+#: chunk at least this long (a vehicle's history) folds at its append.
+#: About 30 of a four-radio group's 0.5 s chunks.
+MAX_QUEUED_MEASUREMENTS = 4096
 
 
 class TrajectoryBuilder:
@@ -263,9 +265,9 @@ class TrajectoryBuilder:
     folds everything queued in one pass over the concatenated chunks
     and the last accepted track, then serves.  A fold's cost is mostly
     fixed per call, and a fleet appends every vehicle every period but
-    serves only the few it is asked about.  The queue holds at most
-    :data:`MAX_QUEUED_CHUNKS` chunks: the append that fills it folds
-    it.  Served trajectories are **bit-identical** to a cold
+    serves only the few it is asked about.  The append that brings the
+    queue to :data:`MAX_QUEUED_MEASUREMENTS` folds it.  Served
+    trajectories are **bit-identical** to a cold
     :func:`~repro.core.binding.bind_scan` over the concatenated stream,
     however the chunks were queued — the contract the prefix-equivalence
     suite in ``tests/test_streaming_prefix.py`` enforces — and own their
@@ -302,6 +304,7 @@ class TrajectoryBuilder:
         self._context_length_m = float(context_length_m)
         self._index = None  # DriveBindingIndex, created by the first fold
         self._queue: list = []  # accepted chunks not folded yet
+        self._n_queued = 0  # measurements in them
         # The last accepted plan, track and measurement time.
         self._plan = None
         self._track = None
@@ -348,9 +351,13 @@ class TrajectoryBuilder:
         self._track = track
         if len(chunk):
             self._last_time_s = float(chunk.times_s[-1])
-        self._queue.append(chunk)
+        # An empty chunk brings only its track, which the next fold
+        # takes from above; it is queued only to make a serve fold.
+        if len(chunk) or not self._queue:
+            self._queue.append(chunk)
+        self._n_queued += len(chunk)
         self._n_measurements += len(chunk)
-        if len(self._queue) == MAX_QUEUED_CHUNKS:
+        if self._n_queued >= MAX_QUEUED_MEASUREMENTS:
             self._fold()
 
     def trajectory(self, at_time_s: float | None = None) -> GsmTrajectory:
@@ -377,7 +384,7 @@ class TrajectoryBuilder:
         from repro.core.binding import DriveBindingIndex
         from repro.gsm.scanner import concat_streams
 
-        queued, self._queue = self._queue, []
+        queued, self._queue, self._n_queued = self._queue, [], 0
         stream = queued[0] if len(queued) == 1 else concat_streams(queued)
         if self._index is None:
             # Private (never shared via for_drive): every fold grows it.

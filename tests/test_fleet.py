@@ -121,7 +121,7 @@ class TestFleetStore:
         cuts: dict = {}
         t0 = float(rear.estimated.times_s[0])
         for k in range(1, 4):
-            _feed(store, "v1", rear, t0 + 10.0 * k, cuts)
+            _feed(store, "v1", rear, t0 + 5.0 + 0.5 * k, cuts)
         assert len(store.slot("v1").builder._queue) == 3  # never served
         folds = count_calls(TrajectoryBuilder, "_fold")
         store.drop_vehicle("v1")

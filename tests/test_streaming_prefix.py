@@ -37,7 +37,7 @@ from repro.core.binding import (
 )
 from repro.core.tracking import RupsTracker
 from repro.core.trajectory import (
-    MAX_QUEUED_CHUNKS,
+    MAX_QUEUED_MEASUREMENTS,
     GeoTrajectory,
     TrajectoryBuilder,
 )
@@ -406,7 +406,7 @@ def long_drive(small_plan):
     track = EstimatedTrack(
         times_s=t, distance_m=distance, heading_rad=0.4 * np.sin(t / 90.0)
     )
-    times = np.sort(rng.uniform(0.0, 1250.0, 15_000))
+    times = np.sort(rng.uniform(0.0, 1250.0, 30_000))
     scan = ScanStream(
         times_s=times,
         channel_indices=rng.integers(0, 6, times.size),
@@ -450,14 +450,17 @@ class TestBuilderQueue:
         scan, track = rec.scan, rec.estimated
         folds = _count_folds(count_calls)
         builder = TrajectoryBuilder(context_length_m=150.0)
-        k = 2 * MAX_QUEUED_CHUNKS + 5
-        prev_b = 0
-        for i in range(k):
-            trk = _truncate(track, 40.0 + 0.5 * i)
+        prev_b = k = 0
+        while prev_b < 2.5 * MAX_QUEUED_MEASUREMENTS:
+            k += 1
+            trk = _truncate(track, 0.5 * k)
             b = _chunk_bounds(scan, trk)
             builder.append(scan.slice(prev_b, b), trk)
             prev_b = b
-        assert folds.calls <= math.ceil(k / MAX_QUEUED_CHUNKS)
+        # k appends of small chunks: an append folds only a full queue,
+        # so at most once per MAX_QUEUED_MEASUREMENTS appended.
+        assert 0 < folds.calls <= prev_b // MAX_QUEUED_MEASUREMENTS < k
+        assert min(folds.sizes) >= MAX_QUEUED_MEASUREMENTS
         assert builder.n_measurements == prev_b
         folded = sum(folds.sizes)
         assert folded < prev_b, "fixture regression: nothing left queued"
@@ -476,12 +479,13 @@ class TestBuilderQueue:
     ):
         rec = shared_pair.rear
         scan, track = rec.scan, rec.estimated
-        trk1, trk2, trk3 = (_truncate(track, t) for t in (60.0, 90.0, 100.0))
+        trk1, trk2, trk3 = (_truncate(track, t) for t in (60.0, 70.0, 80.0))
         b1, b2, b3 = (_chunk_bounds(scan, trk) for trk in (trk1, trk2, trk3))
         builder = TrajectoryBuilder(context_length_m=150.0)
         builder.append(scan.slice(0, b1), trk1)
         builder.trajectory()  # folds the first chunk
         queued = scan.slice(b1, b2)
+        assert len(queued) < MAX_QUEUED_MEASUREMENTS
         builder.append(queued, trk2)
         # Only samples the queued track added move: checked against the
         # folded track alone, this track would pass.
@@ -520,7 +524,7 @@ class TestBuilderQueue:
             trk2.times_s, trk2.distance_m + 1.0, trk2.heading_rad
         )
         builder = TrajectoryBuilder(context_length_m=150.0)
-        builder.append(scan.slice(0, b1), trk1)  # queued, not folded
+        builder.append(scan.slice(0, b1), trk1)
         for chunk, trk, cause in (
             (_reversed(nxt), trk2, "unsorted"),
             (scan.slice(b1 - 20, b2), trk2, "overlap"),
@@ -560,7 +564,7 @@ class TestBuilderQueue:
         rng = np.random.default_rng(7)
         folds = _count_folds(count_calls)
         builder = TrajectoryBuilder(context_length_m=150.0)
-        prev_b = queued = longest = served = 0
+        prev_b = last_served_b = longest = served = 0
         t_end = 0.0
         next_serve = 30.0
         while t_end < 1250.0:
@@ -569,12 +573,13 @@ class TestBuilderQueue:
             b = _chunk_bounds(scan, trk)
             builder.append(scan.slice(prev_b, b), trk)
             prev_b = b
-            queued += 1
             if t_end < next_serve and t_end < 1250.0:
                 continue
-            next_serve = t_end + float(rng.choice([0.5, 3.0, 11.0, 17.5, 40.0]))
-            longest = max(longest, queued)
-            queued = 0
+            # Ragged gaps, and one 400 s stretch with no serve at all.
+            gap = 400.0 if served == 20 else rng.choice([0.5, 3.0, 11.0, 17.5, 40.0])
+            next_serve = t_end + float(gap)
+            longest = max(longest, b - last_served_b)
+            last_served_b = b
             at_time_s = None if rng.random() < 0.5 else t_end - float(rng.random())
             want = bind_scan(
                 scan.slice(0, b), trk, at_time_s=at_time_s, context_length_m=150.0
@@ -583,11 +588,11 @@ class TestBuilderQueue:
                 builder.trajectory(at_time_s=at_time_s), want
             )
             served += 1
-        assert served >= 50
-        assert longest > MAX_QUEUED_CHUNKS
+        assert served >= 40
+        assert longest > 2 * MAX_QUEUED_MEASUREMENTS
         # 2,500 appends, yet far fewer folds: one per serve at most,
         # plus one per full queue.
-        assert folds.calls <= served + 2500 // MAX_QUEUED_CHUNKS
+        assert folds.calls <= served + len(scan) // MAX_QUEUED_MEASUREMENTS
 
 
 class RebindingBuilder:

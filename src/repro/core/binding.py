@@ -209,7 +209,8 @@ def check_extension(
 def _grown_1d(buf: np.ndarray, used: int, extra: int) -> np.ndarray:
     """``buf`` with room for ``used + extra`` entries; grown to twice
     that, so the fold after a long one (a vehicle's history, folded in
-    one go) copies nothing."""
+    one go) copies nothing.  Only the used prefix is ever written, so
+    the spare half costs no memory traffic until it is used."""
     need = used + extra
     if need <= buf.shape[0]:
         return buf
@@ -219,11 +220,17 @@ def _grown_1d(buf: np.ndarray, used: int, extra: int) -> np.ndarray:
 
 
 def _grown_cols(buf: np.ndarray, used: int, need: int) -> np.ndarray:
-    """``buf`` with room for ``need`` columns; grown to twice that, as
-    :func:`_grown_1d`."""
+    """``buf`` with room for ``need`` columns (amortised doubling).
+
+    Unlike :func:`_grown_1d` it does not size a first growth to twice
+    the need: every row's spare columns sit between used ones, so they
+    are paged in (with huge pages, zeroed) as soon as the grid is.
+    """
     if need <= buf.shape[1]:
         return buf
-    out = np.empty((buf.shape[0], max(2 * need, 16)), dtype=buf.dtype)
+    out = np.empty(
+        (buf.shape[0], max(need, 2 * buf.shape[1], 16)), dtype=buf.dtype
+    )
     out[:, :used] = buf[:, :used]
     return out
 

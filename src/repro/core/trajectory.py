@@ -351,8 +351,9 @@ class TrajectoryBuilder:
         self._track = track
         if len(chunk):
             self._last_time_s = float(chunk.times_s[-1])
-        # An empty chunk brings only its track, which the next fold
-        # takes from above; it is queued only to make a serve fold.
+        # An empty chunk adds only its track, which every fold takes
+        # from ``_track``; it is queued only when nothing else is, so
+        # that the next serve still folds that track in.
         if len(chunk) or not self._queue:
             self._queue.append(chunk)
         self._n_queued += len(chunk)

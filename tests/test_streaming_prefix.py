@@ -294,8 +294,9 @@ def _reversed(chunk):
 
 
 class TestBuilderAppendIsAtomic:
-    """A rejected append leaves count and served window untouched, and
-    the stream continues as if the bad chunk never arrived."""
+    """A rejected append names its cause, leaves count and served
+    window untouched, and the stream continues as if the bad chunk never
+    arrived."""
 
     @staticmethod
     def _state(builder):
@@ -317,11 +318,11 @@ class TestBuilderAppendIsAtomic:
 
     def _reject_each(self, builder, bad: dict) -> None:
         state = self._state(builder)
-        for name, (chunk, trk) in bad.items():
+        for name, (chunk, trk, cause) in bad.items():
             try:
                 builder.append(chunk, trk)
-            except ValueError:
-                pass
+            except ChunkRefused as refused:
+                assert refused.cause == cause, name
             else:
                 pytest.fail(f"{name} chunk was accepted")
             self._assert_state(builder, state)
@@ -336,8 +337,8 @@ class TestBuilderAppendIsAtomic:
         self._reject_each(
             builder,
             {
-                "unsorted": (_reversed(good), trk),
-                "beyond track": (scan.slice(0, b + 50), trk),
+                "unsorted": (_reversed(good), trk, "unsorted"),
+                "beyond track": (scan.slice(0, b + 50), trk, "beyond_track"),
             },
         )
         builder.append(good, trk)
@@ -365,15 +366,18 @@ class TestBuilderAppendIsAtomic:
         self._reject_each(
             builder,
             {
-                "unsorted": (_reversed(nxt), trk2),
-                "overlapping": (scan.slice(b1 - 5, b2), trk2),
-                "beyond track": (scan.slice(b1, b2 + 50), trk2),
+                "unsorted": (_reversed(nxt), trk2, "unsorted"),
+                "overlapping": (scan.slice(b1 - 5, b2), trk2, "overlap"),
+                "beyond track": (scan.slice(b1, b2 + 50), trk2, "beyond_track"),
                 "fewer channels": (
                     replace(nxt, plan=plan.subset(np.arange(plan.n_channels - 1))),
                     trk2,
+                    "plan_mismatch",
                 ),
-                "other channels": (replace(nxt, plan=relabelled), trk2),
-                "track not extended": (nxt, rewritten),
+                "other channels": (
+                    replace(nxt, plan=relabelled), trk2, "plan_mismatch"
+                ),
+                "track not extended": (nxt, rewritten, "track_rewrite"),
             },
         )
         builder.append(nxt, trk2)
@@ -507,36 +511,6 @@ class TestBuilderQueue:
             assert folds.calls == 0
         want = bind_scan(scan.slice(0, b2), trk2, context_length_m=150.0)
         _assert_trajectories_identical(builder.trajectory(), want)
-
-    def test_each_refusal_names_its_cause(self, shared_pair):
-        rec = shared_pair.rear
-        scan, track = rec.scan, rec.estimated
-        trk1, trk2 = _truncate(track, 60.0), _truncate(track, 90.0)
-        b1, b2 = _chunk_bounds(scan, trk1), _chunk_bounds(scan, trk2)
-        nxt = scan.slice(b1, b2)
-        plan = scan.plan
-        relabelled = ChannelPlan(
-            name="relabelled",
-            arfcns=plan.arfcns + 10_000,
-            frequencies_hz=plan.frequencies_hz,
-        )
-        rewritten = EstimatedTrack(
-            trk2.times_s, trk2.distance_m + 1.0, trk2.heading_rad
-        )
-        builder = TrajectoryBuilder(context_length_m=150.0)
-        builder.append(scan.slice(0, b1), trk1)
-        for chunk, trk, cause in (
-            (_reversed(nxt), trk2, "unsorted"),
-            (scan.slice(b1 - 20, b2), trk2, "overlap"),
-            (scan.slice(b1, b2 + 50), trk2, "beyond_track"),
-            (replace(nxt, plan=relabelled), trk2, "plan_mismatch"),
-            (nxt, rewritten, "track_rewrite"),
-        ):
-            with pytest.raises(ChunkRefused) as refused:
-                builder.append(chunk, trk)
-            assert refused.value.cause == cause
-            assert isinstance(refused.value, ValueError)
-        assert builder.n_measurements == b1
 
     def test_bins_running_backwards_are_refused_at_the_append(self, small_plan):
         scan, track = _dipping_drive(small_plan)

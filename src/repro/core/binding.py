@@ -379,6 +379,34 @@ class DriveBindingIndex:
         track: EstimatedTrack,
         spacing_m: float = 1.0,
     ) -> None:
+        self._start(scan, track, spacing_m)
+        # Any stream can be built; only one that could have arrived
+        # chunk by chunk can be grown.
+        try:
+            check_extension(scan, track, self.spacing_m)
+        except ChunkRefused as refusal:
+            self._refusal = (refusal.cause, f"cannot extend: {refusal}")
+        self._fold(scan, track)
+
+    @classmethod
+    def _unfolded(
+        cls, scan: ScanStream, track: EstimatedTrack, spacing_m: float
+    ) -> "DriveBindingIndex":
+        """An index of nothing yet, on ``scan``'s plan and ``track``'s
+        mark grid, for a caller that checks every stream it folds with
+        :func:`check_extension` itself.  Its first :meth:`_fold` bins a
+        whole stream in one pass, as the constructor does; an index
+        built over an empty stream would first grow and aggregate an
+        all-zero grid to the end of ``track``, which that fold then
+        aggregates again."""
+        index = cls.__new__(cls)
+        index._start(scan, track, spacing_m)
+        return index
+
+    def _start(
+        self, scan: ScanStream, track: EstimatedTrack, spacing_m: float
+    ) -> None:
+        """Empty binning state on ``scan``'s plan, anchored to ``track``."""
         if spacing_m <= 0:
             raise ValueError("spacing_m must be positive")
         self.track = track
@@ -393,14 +421,7 @@ class DriveBindingIndex:
         empty = scan.slice(0, 0)
         self._states = {parity: _ParityState(empty) for parity in (0, 1)}
         self._last_time = -np.inf
-        # Any stream can be built; only one that could have arrived
-        # chunk by chunk can be grown.
         self._refusal: tuple[str, str] | None = None
-        try:
-            check_extension(scan, track, self.spacing_m)
-        except ChunkRefused as refusal:
-            self._refusal = (refusal.cause, f"cannot extend: {refusal}")
-        self._fold(scan, track)
 
     def bind(
         self,

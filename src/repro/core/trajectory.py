@@ -389,8 +389,8 @@ class TrajectoryBuilder:
         stream = queued[0] if len(queued) == 1 else concat_streams(queued)
         if self._index is None:
             # Private (never shared via for_drive): every fold grows it.
-            # Built empty, its constructor has no stream to check.
-            self._index = DriveBindingIndex(
-                stream.slice(0, 0), self._track, spacing_m=self._spacing_m
+            # Unfolded, it repeats no check of the first queue.
+            self._index = DriveBindingIndex._unfolded(
+                stream, self._track, self._spacing_m
             )
         self._index._fold(stream, self._track)
